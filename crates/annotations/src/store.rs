@@ -127,6 +127,11 @@ impl AnnotationStore {
             .ok_or_else(|| Error::Annotation(format!("unknown annotation {id}")))
     }
 
+    /// Every live annotation, in no particular order.
+    pub fn live(&self) -> impl Iterator<Item = (AnnotationId, &Annotation)> {
+        self.annotations.iter().map(|(id, ann)| (*id, ann))
+    }
+
     /// Fetches several annotations, preserving order. Unknown ids error.
     pub fn get_many(
         &self,

@@ -11,10 +11,10 @@
 //! reader load — a write-lock acquisition that waits out in-flight
 //! scans **per annotation**; larger batches amortize all three across
 //! the group, plus the per-row summary-maintenance pass. The sweep runs
-//! per engine layout, `shards` ∈ {1, 4}: 1 is the legacy single-lock
-//! engine, 4 hash-partitions rows over four locks fed by one committer
-//! each, so concurrent writers only serialize when they hit the same
-//! shard. Streams come from `workload::ingest_script`, the pure-write
+//! per shard count, `shards` ∈ {1, 4}: 1 puts every row behind one lock
+//! and one committer, 4 hash-partitions rows over four locks fed by one
+//! committer each, so concurrent writers only serialize when they hit
+//! the same shard. Streams come from `workload::ingest_script`, the pure-write
 //! counterpart of the A4 mixed session streams.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -22,7 +22,7 @@ use insightnotes_bench::{
     drive_ingest_writer, ReaderLoad, INGEST_READERS, INGEST_READER_SCAN, INGEST_READER_THINK,
 };
 use insightnotes_client::Client;
-use insightnotes_engine::{Database, DbConfig, ShardedDatabase, SyncPolicy};
+use insightnotes_engine::{DbConfig, ShardedDatabase, SyncPolicy};
 use insightnotes_server::{Server, ServerConfig, ServerHandle};
 use insightnotes_workload::{ingest_script, IngestConfig};
 use std::net::SocketAddr;
@@ -48,8 +48,8 @@ fn start_server(shards: usize) -> RunningServer {
     start_server_on(db)
 }
 
-fn start_server_on(db: impl Into<ShardedDatabase>) -> RunningServer {
-    let server = Server::bind_sharded("127.0.0.1:0", db.into(), ServerConfig::default())
+fn start_server_on(db: ShardedDatabase) -> RunningServer {
+    let server = Server::bind_sharded("127.0.0.1:0", db, ServerConfig::default())
         .expect("bind ephemeral port");
     let addr = server.local_addr().expect("local addr");
     let handle = server.handle();
@@ -155,23 +155,22 @@ fn bench_ingest_wal(c: &mut Criterion) {
     let mut group = c.benchmark_group("ingest_wal");
     group.sample_size(10);
     for (label, wal) in [("off", None), ("batch", Some(SyncPolicy::Batch))] {
-        let db = match wal {
-            None => Database::new(),
+        let config = match wal {
+            None => DbConfig::default(),
             Some(policy) => {
                 let dir = std::env::temp_dir().join(format!(
                     "insightnotes-ingestwal-{}-{label}",
                     std::process::id()
                 ));
                 let _ = std::fs::remove_dir_all(&dir);
-                std::fs::create_dir_all(&dir).expect("wal dir");
-                Database::with_config(DbConfig {
+                DbConfig {
                     wal_dir: Some(dir),
                     wal_sync: policy,
                     ..DbConfig::default()
-                })
-                .expect("config")
+                }
             }
         };
+        let db = ShardedDatabase::create(config, 1).expect("config");
         let server = start_server_on(db);
         let mut conns: Vec<Client> = (0..WRITERS)
             .map(|_| Client::connect(server.addr).expect("connect"))

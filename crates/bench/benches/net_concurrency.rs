@@ -15,6 +15,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use insightnotes_bench::annotated_db;
 use insightnotes_client::PipelinedClient;
 use insightnotes_common::wire::{Request, Response};
+use insightnotes_engine::{DbConfig, ShardedDatabase};
 use insightnotes_server::{Server, ServerConfig, ServerHandle};
 use std::net::SocketAddr;
 use std::thread::JoinHandle;
@@ -31,9 +32,10 @@ struct RunningServer {
 }
 
 fn start_server() -> RunningServer {
-    let db = annotated_db(BIRDS, RATIO);
-    let server =
-        Server::bind("127.0.0.1:0", db, ServerConfig::default()).expect("bind ephemeral port");
+    let db = ShardedDatabase::from_shards(&DbConfig::default(), vec![annotated_db(BIRDS, RATIO)])
+        .expect("one-shard engine");
+    let server = Server::bind_sharded("127.0.0.1:0", db, ServerConfig::default())
+        .expect("bind ephemeral port");
     let addr = server.local_addr().expect("local addr");
     let handle = server.handle();
     let thread = std::thread::spawn(move || {

@@ -694,9 +694,10 @@ fn a2_index_access_path() {
 /// shared read lock busy. Batch size 1 pays a round-trip, a
 /// commit-queue hand-off, and a write-lock wait behind in-flight scans
 /// per annotation; batches amortize all of it across the group. The
-/// sweep runs once per engine layout — `shards` ∈ {1, 4}: shards = 1 is
-/// the legacy single-lock engine, shards = 4 hash-partitions rows over
-/// four locks with one committer each, so writers and analysts only
+/// sweep runs once per shard count — `shards` ∈ {1, 4}: shards = 1 puts
+/// every row behind one lock and one committer, shards = 4
+/// hash-partitions rows over four locks with one committer each, so
+/// writers and analysts only
 /// collide when they touch the same shard. Every cell runs on a freshly
 /// seeded server so cells are comparable. Emits
 /// `BENCH_ingest_throughput.json` alongside the table.

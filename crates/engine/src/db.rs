@@ -374,6 +374,9 @@ pub struct Database {
     /// mutability so [`Database::wal_sync`] works from `&self` (the
     /// server syncs under its shared lock after releasing the writer).
     wal: Option<Mutex<Wal>>,
+    /// Writes so far that removed annotations or rows (or replaced the
+    /// whole state) — each one invalidates cached zoom-in results.
+    removals: u64,
 }
 
 impl Default for Database {
@@ -423,6 +426,7 @@ impl Database {
             config,
             epoch: 0,
             wal: None,
+            removals: 0,
         })
     }
 
@@ -442,6 +446,7 @@ impl Database {
         self.registry = registry;
         self.epoch = epoch;
         self.clock.advance_to(clock);
+        self.removals += 1;
     }
 
     /// Opens a database with full crash recovery: sweeps a stale
@@ -756,6 +761,13 @@ impl Database {
         self.clock.now()
     }
 
+    /// How many writes so far removed annotations or rows (or replaced
+    /// the whole state). A cache of result rows taken at one count is
+    /// stale once it moves.
+    pub(crate) fn removals(&self) -> u64 {
+        self.removals
+    }
+
     /// Switches the maintenance strategy (experiment E1).
     pub fn set_maintenance_mode(&mut self, mode: MaintenanceMode) {
         self.config.maintenance = mode;
@@ -926,9 +938,9 @@ impl Database {
                 // Already logged as part of the surrounding script.
                 self.delete_annotation_inner(AnnotationId::new(id))
             }
-            Statement::RetractAnnotation { id } => {
+            Statement::RetractAnnotation { id, at } => {
                 // Already logged as part of the surrounding script.
-                self.retract_annotation_inner(AnnotationId::new(id))
+                self.retract_annotation_inner(AnnotationId::new(id), at)
             }
             Statement::CorrectAnnotation {
                 id,
@@ -939,8 +951,8 @@ impl Database {
             } => {
                 self.correct_annotation_inner(AnnotationId::new(id), text, document, author, stamp)
             }
-            Statement::FlagAnnotation { id, note } => {
-                self.flag_annotation_inner(AnnotationId::new(id), note)
+            Statement::FlagAnnotation { id, note, at } => {
+                self.flag_annotation_inner(AnnotationId::new(id), note, at)
             }
             Statement::CreateIndex { table, column } => {
                 let tid = self.catalog.table_id(&table)?;
@@ -1077,7 +1089,8 @@ impl Database {
     /// Drops every cached zoom-in result payload. Called on any
     /// annotation-removing write: cached rows embed summary objects, so
     /// serving them after a removal would resurrect dropped snippets.
-    fn invalidate_zoom_results(&self) {
+    fn invalidate_zoom_results(&mut self) {
+        self.removals += 1;
         self.zoom.lock().invalidate_results();
     }
 
@@ -1085,18 +1098,34 @@ impl Database {
     /// contribution is removed exactly as a deletion's would be, but the
     /// version itself and its timeline survive for `HISTORY` / `AS OF`.
     pub fn retract_annotation(&mut self, id: AnnotationId) -> Result<ExecOutcome> {
-        if self.wal.is_some() {
-            self.wal_append(&WalRecord::Script {
-                sql: format!("RETRACT ANNOTATION {}", id.raw()),
-            })?;
-        }
-        self.retract_annotation_inner(id)
+        self.retract_annotation_at(id, None)
     }
 
-    fn retract_annotation_inner(&mut self, id: AnnotationId) -> Result<ExecOutcome> {
+    /// [`Database::retract_annotation`] at an event tick the shard
+    /// router allocated (`Some`), so every owner shard tombstones at the
+    /// same time. The logged statement carries it (`AT …`), so WAL
+    /// replay reproduces it.
+    pub(crate) fn retract_annotation_at(
+        &mut self,
+        id: AnnotationId,
+        at: Option<u64>,
+    ) -> Result<ExecOutcome> {
+        if self.wal.is_some() {
+            self.wal_append(&WalRecord::Script {
+                sql: format!("RETRACT ANNOTATION {}{}", id.raw(), render_at(at)),
+            })?;
+        }
+        self.retract_annotation_inner(id, at)
+    }
+
+    fn retract_annotation_inner(
+        &mut self,
+        id: AnnotationId,
+        at: Option<u64>,
+    ) -> Result<ExecOutcome> {
         // The tick is consumed before validation so a failing retract
         // replays identically (same clock trajectory) from the WAL.
-        let at = self.clock.tick();
+        let at = self.event_tick(at);
         let removed = self.store.retract(id, at)?;
         self.invalidate_zoom_results();
         let rows_refreshed = self.refresh_after_remove(id, &removed.targets)?;
@@ -1182,13 +1211,7 @@ impl Database {
         // The router pre-allocates `(successor id, tick)` in sharded
         // mode so every owner shard commits an identical replacement;
         // serial execution allocates both locally.
-        let tick = match stamp {
-            Some((_, t)) => {
-                self.clock.advance_to(t);
-                t
-            }
-            None => self.clock.tick(),
-        };
+        let tick = self.event_tick(stamp.map(|(_, t)| t));
         let mut body = AnnotationBody::text(text, author);
         if let Some(d) = document {
             body = body.with_document(d);
@@ -1235,25 +1258,51 @@ impl Database {
         id: AnnotationId,
         note: Option<String>,
     ) -> Result<ExecOutcome> {
+        self.flag_annotation_at(id, note, None)
+    }
+
+    /// [`Database::flag_annotation`] at a router-allocated event tick,
+    /// logged as `FLAG ANNOTATION … AT …` (see
+    /// [`Database::retract_annotation_at`]).
+    pub(crate) fn flag_annotation_at(
+        &mut self,
+        id: AnnotationId,
+        note: Option<String>,
+        at: Option<u64>,
+    ) -> Result<ExecOutcome> {
         if self.wal.is_some() {
             let mut sql = format!("FLAG ANNOTATION {}", id.raw());
             if let Some(n) = &note {
                 sql.push(' ');
                 sql.push_str(&quote_str(n));
             }
+            sql.push_str(&render_at(at));
             self.wal_append(&WalRecord::Script { sql })?;
         }
-        self.flag_annotation_inner(id, note)
+        self.flag_annotation_inner(id, note, at)
     }
 
     fn flag_annotation_inner(
         &mut self,
         id: AnnotationId,
         note: Option<String>,
+        at: Option<u64>,
     ) -> Result<ExecOutcome> {
-        let at = self.clock.tick();
+        let at = self.event_tick(at);
         self.store.flag(id, note, at)?;
         Ok(ExecOutcome::AnnotationFlagged { annotation: id })
+    }
+
+    /// A lifecycle event's tick: the router-allocated one when given
+    /// (the clock advances to it), else the next local tick.
+    fn event_tick(&mut self, at: Option<u64>) -> u64 {
+        match at {
+            Some(t) => {
+                self.clock.advance_to(t);
+                t
+            }
+            None => self.clock.tick(),
+        }
     }
 
     /// `HISTORY <id>`: the annotation's lifecycle timeline, oldest event
@@ -1408,7 +1457,7 @@ impl Database {
     /// is annotated now *or* was annotated at `t` is rebuilt from the
     /// as-of annotation list — rows that gained annotations after `t`
     /// shed them, retracted ones reappear.
-    fn registry_as_of(&self, t: u64) -> Result<SummaryRegistry> {
+    pub(crate) fn registry_as_of(&self, t: u64) -> Result<SummaryRegistry> {
         use insightnotes_common::codec::{Decoder, Encodable, Encoder};
         let mut enc = Encoder::with_capacity(4096);
         self.registry.encode(&mut enc);
@@ -2190,6 +2239,12 @@ pub(crate) fn render_correct_sql(
         sql.push_str(&format!(" WITH ID {sid} AT {tick}"));
     }
     sql
+}
+
+/// The internal ` AT <tick>` suffix of a router-stamped `RETRACT` /
+/// `FLAG ANNOTATION` (empty when the tick is local).
+fn render_at(at: Option<u64>) -> String {
+    at.map_or_else(String::new, |t| format!(" AT {t}"))
 }
 
 /// Projects a typed batch item into its log form (`created` excluded:

@@ -25,11 +25,12 @@
 //!   routes to the id's owner shards — never broadcast, since
 //!   non-owners don't hold the id and a broadcast would fork the
 //!   replicas' statement streams. Lifecycle statements (`RETRACT` /
-//!   `CORRECT` / `FLAG ANNOTATION`) route the same way; a correction's
-//!   successor identity is allocated once at the router and carried to
-//!   every owner as an internal `WITH ID … AT …` stamp, and recovery
-//!   runs a cross-shard membership sweep ([`reconcile_membership`])
-//!   that converges any annotation a crash left partially committed.
+//!   `CORRECT` / `FLAG ANNOTATION`) route the same way; their ticks (and
+//!   a correction's successor id) are allocated once at the router and
+//!   carried to every owner as an internal `AT …` / `WITH ID … AT …`
+//!   stamp, and recovery runs a cross-shard membership sweep
+//!   ([`reconcile_membership`]) that converges any annotation a crash
+//!   left partially committed.
 //! - **Lock ordering.** Replicated writes (DDL, INSERT, DELETE)
 //!   broadcast to all shards in fixed order `0..N` under one broadcast
 //!   mutex; sessions that prepare annotations take all shard read locks
@@ -39,15 +40,16 @@
 //! - **Durability.** Each shard keeps its own WAL segment under
 //!   `wal/shard-<k>/` and checkpoints its own snapshot (`<path>.shard<k>`)
 //!   with its own epoch. A manifest in the WAL base directory — and a
-//!   sibling `<path>.manifest` next to every sharded snapshot set, for
+//!   sibling `<path>.manifest` next to every snapshot set, for
 //!   snapshot-only deployments with no WAL directory — records the
 //!   shard count and epoch vector; recovering with a different shard
-//!   count (or against an unsharded layout) is a detected, classified
-//!   error — never silent corruption.
+//!   count (or against a pre-manifest single-file layout) is a detected,
+//!   classified error — never silent corruption.
 //!
-//! With `shards == 1` the router disappears entirely: every call
-//! delegates to the one inner [`Database`], with the legacy on-disk
-//! layout (single WAL directory, single snapshot file, no manifest).
+//! One shard is the degenerate case of the same path, not a separate
+//! engine: the router, the manifest layout (`<wal_dir>/MANIFEST`,
+//! `<wal_dir>/shard-0/`, `<path>.shard0`, `<path>.manifest`) and the
+//! script rule of [`ShardedDatabase::execute_sql`] apply at every N ≥ 1.
 
 use crate::cache::DiskCache;
 use crate::db::{
@@ -57,10 +59,10 @@ use crate::db::{
 use crate::exec::{Executor, ObjectSource};
 use crate::plan::{estimate_cost, Planner};
 use crate::zoomin::ZoomRegistry;
-use insightnotes_annotations::AnnotationBody;
+use insightnotes_annotations::{AnnotationBody, Target};
 use insightnotes_common::{AnnotationId, Error, IdSet, InstanceId, Qid, Result, RowId, TableId};
 use insightnotes_sql::{
-    parse, parse_one, Expr, Statement, StatementClass, ZoomComponent, ZoomInStmt,
+    parse, parse_one, Expr, SelectStmt, Statement, StatementClass, ZoomComponent, ZoomInStmt,
 };
 use insightnotes_summaries::{SharedObject, SummaryRegistry};
 use parking_lot::witness::class as lock_class;
@@ -79,9 +81,6 @@ pub const MANIFEST_FILE: &str = "MANIFEST";
 /// runs and platforms (splitmix64 finalizer over the raw ids), so a
 /// recovered database routes every row exactly as the crashed one did.
 pub fn shard_of(table: TableId, row: RowId, shards: usize) -> usize {
-    if shards <= 1 {
-        return 0;
-    }
     let mut x = (table.raw() as u64)
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
         .wrapping_add(row.raw());
@@ -90,7 +89,7 @@ pub fn shard_of(table: TableId, row: RowId, shards: usize) -> usize {
     x ^= x >> 27;
     x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^= x >> 31;
-    (x % shards as u64) as usize
+    (x % shards.max(1) as u64) as usize
 }
 
 /// The router's id/tick allocator: annotation ids and clock ticks are
@@ -106,18 +105,28 @@ impl StampAlloc {
     /// Consumes one id and one tick.
     fn stamp(&mut self) -> (u64, u64) {
         self.next_id += 1;
+        (self.next_id, self.tick())
+    }
+
+    /// Consumes one tick (a retraction's or flag's event time).
+    fn tick(&mut self) -> u64 {
         self.clock += 1;
-        (self.next_id, self.clock)
+        self.clock
     }
 }
 
-/// Cross-shard state that exists only at `shards > 1`.
+/// Cross-shard state: the allocator, the QID registry and the
+/// broadcast order every shard count shares.
 #[derive(Debug)]
 struct RouterState {
     alloc: Mutex<StampAlloc>,
     /// Router-level QID registry and zoom-in result cache: fan-out
     /// queries register here, not in any shard's session registry.
     zoom: Mutex<ZoomRegistry>,
+    /// Sum of the shards' [`Database::removals`] when the router last
+    /// checked: once it moves, cached zoom-in rows may embed removed
+    /// annotations and are dropped.
+    removals_seen: AtomicU64,
     /// Serializes replicated-write broadcasts. Two concurrent broadcasts
     /// interleaving their per-shard lock acquisitions would apply in
     /// different orders on different shards and diverge the replicas;
@@ -180,8 +189,9 @@ impl ShardedRecoveryReport {
 }
 
 /// Reads each row's summary objects from the owning shard's registry.
-/// Built over the full fixed-order set of shard read guards; the
-/// executor's morsel workers call it concurrently.
+/// Built over the full fixed-order set of shard read guards (or their
+/// `AS OF` reconstructions); the executor's morsel workers call it
+/// concurrently.
 struct ShardObjects<'a> {
     regs: Vec<&'a SummaryRegistry>,
 }
@@ -205,159 +215,64 @@ impl ObjectSource for ShardObjects<'_> {
 #[derive(Debug)]
 pub struct ShardedDatabase {
     shards: Vec<Arc<RwLock<Database>>>,
-    /// `None` at `shards == 1`: every call delegates to `shards[0]`
-    /// with legacy single-database semantics and on-disk layout.
-    router: Option<RouterState>,
-}
-
-impl From<Database> for ShardedDatabase {
-    fn from(db: Database) -> Self {
-        Self {
-            shards: vec![Arc::new(
-                RwLock::new(db).with_class_indexed(lock_class::SHARD, 0),
-            )],
-            router: None,
-        }
-    }
+    router: RouterState,
 }
 
 impl ShardedDatabase {
-    /// Creates a fresh sharded database. With `shards <= 1` this is
-    /// exactly [`Database::with_config`] behind the facade; otherwise
-    /// the manifest is written (durably) *before* any shard WAL is
-    /// created, so a crash mid-construction leaves a layout recovery
-    /// can classify.
+    /// Creates a fresh database of `shards` shards (at least one). The
+    /// manifest is written (durably) *before* any shard WAL is created,
+    /// so a crash mid-construction leaves a layout recovery can
+    /// classify.
     pub fn create(config: DbConfig, shards: usize) -> Result<Self> {
         let n = shards.max(1);
-        if n == 1 {
-            return Ok(Database::with_config(config)?.into());
-        }
         if let Some(base) = &config.wal_dir {
-            check_layout_sharded(base, n)?;
+            check_layout(base, n)?;
             write_manifest(base, n, &vec![0; n])?;
         }
-        let shards: Vec<Arc<RwLock<Database>>> = (0..n)
-            .map(|k| {
-                Ok(Arc::new(
-                    RwLock::new(Database::with_config(shard_config(&config, k))?)
-                        .with_class_indexed(lock_class::SHARD, k as u32),
-                ))
-            })
+        let dbs = (0..n)
+            .map(|k| Database::with_config(shard_config(&config, k)))
             .collect::<Result<_>>()?;
-        let router = build_router(&config, &shards)?;
-        Ok(Self {
-            shards,
-            router: Some(router),
-        })
+        Self::from_shards(&config, dbs)
     }
 
-    /// Assembles the facade over externally constructed shard databases
-    /// — the replica path: the replication subsystem recovers each
-    /// shard from its mirrored log segment and hands the set here for
-    /// read serving. One database collapses to the legacy facade;
-    /// otherwise a router is built over the set (the id/tick allocator
-    /// resumes past the maximum any shard has seen, exactly as
-    /// [`ShardedDatabase::recover`] does).
+    /// Assembles the router over shard databases — the last step of
+    /// [`ShardedDatabase::create`] and [`ShardedDatabase::recover`], and
+    /// the replica path: the replication subsystem recovers each shard
+    /// from its mirrored log segment and hands the set here for read
+    /// serving. The id/tick allocator resumes past the maximum any shard
+    /// has seen.
     pub fn from_shards(config: &DbConfig, dbs: Vec<Database>) -> Result<Self> {
-        if dbs.len() <= 1 {
-            let db = dbs.into_iter().next().ok_or_else(|| {
-                Error::Execution("cannot assemble a sharded database over zero shards".into())
-            })?;
-            return Ok(db.into());
+        if dbs.is_empty() {
+            return Err(Error::Execution(
+                "cannot assemble a sharded database over zero shards".into(),
+            ));
         }
-        let shards: Vec<Arc<RwLock<Database>>> = dbs
+        let router = build_router(config, &dbs)?;
+        let shards = dbs
             .into_iter()
             .enumerate()
             .map(|(k, d)| Arc::new(RwLock::new(d).with_class_indexed(lock_class::SHARD, k as u32)))
             .collect();
-        let router = build_router(config, &shards)?;
-        Ok(Self {
-            shards,
-            router: Some(router),
-        })
+        Ok(Self { shards, router })
     }
 
-    /// Opens a sharded database with full crash recovery: each shard
+    /// Opens a database with full crash recovery: each shard
     /// independently sweeps, loads its snapshot (`<path>.shard<k>`),
-    /// and replays its own WAL segment. Layout mismatches — an
-    /// unsharded WAL or snapshot recovered with `shards > 1`, a
-    /// manifest whose shard count differs from `shards`, shard
-    /// directories without a manifest — are classified errors.
+    /// and replays its own WAL segment. Layout mismatches — a
+    /// pre-manifest single-file WAL or snapshot, a manifest whose shard
+    /// count differs from `shards`, shard files without a manifest — are
+    /// classified errors.
     pub fn recover(
         snapshot: Option<&Path>,
         config: DbConfig,
         shards: usize,
     ) -> Result<(Self, ShardedRecoveryReport)> {
         let n = shards.max(1);
-        if n == 1 {
-            if let Some(base) = &config.wal_dir {
-                if base.join(MANIFEST_FILE).exists() {
-                    return Err(Error::Execution(format!(
-                        "write-ahead log directory {} holds a shard manifest (sharded \
-                         layout); recover with the shard count the manifest records",
-                        base.display()
-                    )));
-                }
-            }
-            if let Some(path) = snapshot {
-                if let Some((recorded, _)) = read_manifest_file(&snapshot_manifest_path(path))? {
-                    return Err(Error::Execution(format!(
-                        "snapshot {} is a sharded snapshot set ({recorded} shard(s) per \
-                         its manifest); recover with the shard count the manifest records",
-                        path.display()
-                    )));
-                }
-            }
-            let (db, report) = Database::recover(snapshot, config)?;
-            let epoch = db.epoch();
-            return Ok((
-                db.into(),
-                ShardedRecoveryReport {
-                    shards: vec![ShardRecovery { epoch, report }],
-                    reconciled: 0,
-                },
-            ));
-        }
         if let Some(path) = snapshot {
-            if path.exists() {
-                return Err(Error::Execution(format!(
-                    "snapshot {} was written by an unsharded engine; recover it with \
-                     shards = 1 (shard-count changes require an explicit migration)",
-                    path.display()
-                )));
-            }
-            match read_manifest_file(&snapshot_manifest_path(path))? {
-                Some((recorded, _)) if recorded != n => {
-                    return Err(Error::Execution(format!(
-                        "snapshot manifest {} records {recorded} shard(s) but {n} were \
-                         configured; shard-count changes require an explicit migration",
-                        snapshot_manifest_path(path).display()
-                    )));
-                }
-                Some(_) => {}
-                None => {
-                    // In snapshot-only mode the sibling manifest is the
-                    // only witness of the set's shard count; shard files
-                    // without it mean the set is incomplete (crash
-                    // mid-checkpoint) or pre-dates manifests, and
-                    // loading a guessed subset would silently drop the
-                    // other shards' data. With a WAL directory its
-                    // manifest stays authoritative, and a crash between
-                    // per-shard checkpoints legitimately leaves shard
-                    // files newer than the sibling manifest.
-                    if config.wal_dir.is_none() && shard_snapshots_present(path)? {
-                        return Err(Error::Execution(format!(
-                            "shard snapshot files exist next to {} but its snapshot \
-                             manifest is missing; the snapshot set is incomplete or \
-                             mid-migration",
-                            path.display()
-                        )));
-                    }
-                }
-            }
+            check_snapshot_layout(path, n, config.wal_dir.is_some())?;
         }
         if let Some(base) = &config.wal_dir {
-            check_layout_sharded(base, n)?;
+            check_layout(base, n)?;
             if read_manifest(base)?.is_none() {
                 write_manifest(base, n, &vec![0; n])?;
             }
@@ -371,9 +286,7 @@ impl ShardedDatabase {
                 epoch: db.epoch(),
                 report,
             });
-            dbs.push(Arc::new(
-                RwLock::new(db).with_class_indexed(lock_class::SHARD, k as u32),
-            ));
+            dbs.push(db);
         }
         // Cross-shard membership reconciliation (closes the DESIGN.md
         // §12 residual): a crash between a multi-owner commit and its
@@ -381,13 +294,9 @@ impl ShardedDatabase {
         // some owner shards and absent from others — recovery would
         // resurrect it partially attached. Sweep before the router is
         // built, while the shard set is still private to this thread.
-        let reconciled = reconcile_membership(&dbs)?;
-        let router = build_router(&config, &dbs)?;
+        let reconciled = reconcile_membership(&mut dbs)?;
         Ok((
-            Self {
-                shards: dbs,
-                router: Some(router),
-            },
+            Self::from_shards(&config, dbs)?,
             ShardedRecoveryReport {
                 shards: reports,
                 reconciled,
@@ -400,14 +309,8 @@ impl ShardedDatabase {
         self.shards.len()
     }
 
-    /// Whether the router is active (`shards > 1`).
-    pub fn is_sharded(&self) -> bool {
-        self.router.is_some()
-    }
-
     /// Direct handle to one shard. The server's per-shard committers
-    /// hold these; `shard(0)` is also the legacy `Arc<RwLock<Database>>`
-    /// handle tests reach the engine through at `shards == 1`.
+    /// hold these.
     pub fn shard(&self, k: usize) -> &Arc<RwLock<Database>> {
         &self.shards[k]
     }
@@ -424,7 +327,7 @@ impl ShardedDatabase {
 
     // -- statement execution ----------------------------------------------
 
-    /// Parses and executes a script. Routing at `shards > 1`:
+    /// Parses and executes a script:
     ///
     /// - all Read-class → per-statement fan-out read path;
     /// - writes, none of them touching the *partitioned* annotation
@@ -432,56 +335,54 @@ impl ShardedDatabase {
     ///   order under the broadcast mutex (every shard executes it,
     ///   shard 0's outcomes are returned — replicas apply the identical
     ///   statement stream even when a statement fails);
-    /// - all statements `ADD ANNOTATION` / `DELETE ANNOTATION` → each
+    /// - annotation statements (`ADD` / `DELETE` / `RETRACT` / `CORRECT`
+    ///   / `FLAG ANNOTATION`), optionally with reads between them → each
     ///   routes to its owner shards in order, stopping at the first
     ///   failure exactly as serial execution would;
-    /// - a mix of partitioned-store statements and replicated writes →
-    ///   a classified error. The two routes cannot interleave: a
-    ///   partitioned statement succeeds only on the shards that own its
-    ///   rows, so broadcasting it would fail on the others, and
-    ///   [`Database::execute_sql`]'s stop-at-first-failure would then
+    /// - annotation statements mixed with replicated writes → a
+    ///   classified error, at every shard count. The two routes cannot
+    ///   interleave: a partitioned statement succeeds only on the shards
+    ///   that own its rows, so broadcasting it would fail on the others,
+    ///   and [`Database::execute_sql`]'s stop-at-first-failure would then
     ///   apply the rest of the script to a different set of shards —
     ///   permanently forking the replicated state.
     pub fn execute_sql(&self, sql: &str) -> Result<Vec<ExecOutcome>> {
-        if self.router.is_none() {
-            return self.shards[0].write().execute_sql(sql);
-        }
         let stmts = parse(sql)?;
         if stmts.iter().all(|s| s.class() == StatementClass::Read) {
             return stmts.into_iter().map(|s| self.execute_read(s)).collect();
         }
-        let partitioned = stmts
-            .iter()
-            .filter(|s| {
-                matches!(
-                    s,
-                    Statement::AddAnnotation { .. }
-                        | Statement::DeleteAnnotation { .. }
-                        | Statement::RetractAnnotation { .. }
-                        | Statement::CorrectAnnotation { .. }
-                        | Statement::FlagAnnotation { .. }
-                )
-            })
-            .count();
-        if partitioned == 0 {
+        let partitioned = |s: &Statement| {
+            matches!(
+                s,
+                Statement::AddAnnotation { .. }
+                    | Statement::DeleteAnnotation { .. }
+                    | Statement::RetractAnnotation { .. }
+                    | Statement::CorrectAnnotation { .. }
+                    | Statement::FlagAnnotation { .. }
+            )
+        };
+        if !stmts.iter().any(partitioned) {
             return self.broadcast_script(sql);
         }
-        if partitioned != stmts.len() {
+        if stmts
+            .iter()
+            .any(|s| s.class() == StatementClass::Write && !partitioned(s))
+        {
             return Err(Error::Execution(
-                "sharded execution cannot mix annotation statements (ADD / DELETE / \
-                 RETRACT / CORRECT / FLAG ANNOTATION) with other statements in one \
-                 script; submit annotation writes separately"
+                "a script cannot mix annotation statements (ADD / DELETE / RETRACT / \
+                 CORRECT / FLAG ANNOTATION) with other writes; submit annotation \
+                 writes separately"
                     .into(),
             ));
         }
         let mut out = Vec::with_capacity(stmts.len());
-        for stmt in &stmts {
-            match stmt {
+        for stmt in stmts {
+            out.push(match stmt {
                 Statement::DeleteAnnotation { id } => {
-                    out.push(self.delete_annotation(AnnotationId::new(*id))?);
+                    self.delete_annotation(AnnotationId::new(id))?
                 }
-                Statement::RetractAnnotation { id } => {
-                    out.push(self.retract_annotation(AnnotationId::new(*id))?);
+                Statement::RetractAnnotation { id, at } => {
+                    self.retract_routed(AnnotationId::new(id), at)?
                 }
                 Statement::CorrectAnnotation {
                     id,
@@ -489,32 +390,31 @@ impl ShardedDatabase {
                     document,
                     author,
                     stamp,
-                } => {
-                    out.push(self.correct_annotation_routed(
-                        AnnotationId::new(*id),
-                        text.clone(),
-                        document.clone(),
-                        author.clone(),
-                        *stamp,
-                    )?);
+                } => self.correct_annotation_routed(
+                    AnnotationId::new(id),
+                    text,
+                    document,
+                    author,
+                    stamp,
+                )?,
+                Statement::FlagAnnotation { id, note, at } => {
+                    self.flag_routed(AnnotationId::new(id), note, at)?
                 }
-                Statement::FlagAnnotation { id, note } => {
-                    out.push(self.flag_annotation(AnnotationId::new(*id), note.clone())?);
+                add @ Statement::AddAnnotation { .. } => {
+                    let prepared = self.prepare(&[&add]);
+                    self.apply_prepared(prepared).pop().unwrap_or_else(|| {
+                        Err(Error::Execution("batch of one returned no result".into()))
+                    })?
                 }
-                _ => {
-                    let routed = self.prepare_one(stmt)?;
-                    out.push(self.apply_one(&routed)?);
-                }
-            }
+                read => self.execute_read(read)?,
+            });
         }
         Ok(out)
     }
 
-    /// Executes one Read-class statement (SELECT / ZOOMIN / EXPLAIN).
+    /// Executes one Read-class statement (SELECT / ZOOMIN / EXPLAIN /
+    /// HISTORY).
     pub fn execute_read(&self, stmt: Statement) -> Result<ExecOutcome> {
-        if self.router.is_none() {
-            return self.shards[0].read().execute_read(stmt);
-        }
         match stmt {
             Statement::Select(sel) => Ok(ExecOutcome::Query(self.run_select_routed(&sel)?)),
             Statement::ZoomIn(z) => Ok(ExecOutcome::ZoomIn(self.zoom_in(&z)?)),
@@ -547,15 +447,8 @@ impl ShardedDatabase {
 
     /// Convenience: executes a single SELECT.
     pub fn query(&self, sql: &str) -> Result<QueryResult> {
-        if self.router.is_none() {
-            return self.shards[0].read().query(sql);
-        }
-        let stmt = parse_one(sql)?;
-        match stmt {
-            Statement::Select(_) => match self.execute_read(stmt)? {
-                ExecOutcome::Query(q) => Ok(q),
-                _ => unreachable!("select statements produce query outcomes"),
-            },
+        match parse_one(sql)? {
+            Statement::Select(sel) => self.run_select_routed(&sel),
             other => Err(Error::Parse(format!(
                 "expected a SELECT statement, found {other:?}"
             ))),
@@ -565,12 +458,7 @@ impl ShardedDatabase {
     /// Broadcasts a replicated-write script to every shard in fixed
     /// order under the broadcast mutex; returns shard 0's outcomes.
     fn broadcast_script(&self, sql: &str) -> Result<Vec<ExecOutcome>> {
-        let router = self.router.as_ref().ok_or_else(|| {
-            Error::Execution(
-                "broadcast on a routerless database (single-shard scripts execute directly)".into(),
-            )
-        })?;
-        let _total_order = router.broadcast.lock();
+        let _total_order = self.router.broadcast.lock();
         let mut first: Option<Result<Vec<ExecOutcome>>> = None;
         for shard in &self.shards {
             let res = shard.write().execute_sql(sql);
@@ -583,60 +471,36 @@ impl ShardedDatabase {
 
     // -- annotation ingestion ---------------------------------------------
 
-    /// Resolves and stamps one `ADD ANNOTATION` under the full set of
-    /// shard read guards (dropped on return — the caller applies under
-    /// owner write locks afterwards, never holding both).
-    fn prepare_one(&self, stmt: &Statement) -> Result<RoutedAnnotation> {
-        let router = self
-            .router
-            .as_ref()
-            .ok_or_else(|| Error::Execution("prepare on a routerless database".into()))?;
-        let Statement::AddAnnotation {
-            text,
-            document,
-            author,
-            table,
-            columns,
-            where_clause,
-        } = stmt
-        else {
-            return Err(Error::Execution(
-                "annotation batches accept only ADD ANNOTATION statements".into(),
-            ));
-        };
-        let guards = self.read_all();
-        let objects = ShardObjects::new(&guards);
-        let shard0 = &*guards[0];
-        let (tid, cols, rows) = resolve_annotation_targets(
-            shard0.catalog(),
-            shard0.registry(),
-            &objects,
-            table,
-            columns,
-            where_clause.clone(),
-        )?;
-        let owners = owner_set(tid, &rows, self.shards.len());
-        let (id, tick) = router.alloc.lock().stamp();
-        let mut body = AnnotationBody::text(
-            text.clone(),
-            author.clone().unwrap_or_else(|| "anonymous".into()),
-        );
-        if let Some(doc) = document {
-            body = body.with_document(doc.clone());
+    /// Runs `op` on each listed shard under that shard's write lock, in
+    /// order. Every shard is attempted (replica convergence before error
+    /// reporting). Returns the first shard's outcome — each owner stores
+    /// the full target list, so summing per-shard counts would
+    /// double-count — or any shard's failure, plus the shards on which
+    /// `op` succeeded.
+    fn on_shards(
+        &self,
+        shards: &[usize],
+        op: impl Fn(&mut Database) -> Result<ExecOutcome>,
+    ) -> (Result<ExecOutcome>, Vec<usize>) {
+        let mut first: Option<ExecOutcome> = None;
+        let mut failure: Option<Error> = None;
+        let mut ok_shards = Vec::with_capacity(shards.len());
+        for &k in shards {
+            match op(&mut self.shards[k].write()) {
+                Ok(outcome) => {
+                    ok_shards.push(k);
+                    first.get_or_insert(outcome);
+                }
+                Err(e) => failure = Some(e),
+            }
         }
-        Ok(RoutedAnnotation {
-            stamped: StampedRowAnnotation {
-                id,
-                tick,
-                item: RowAnnotation {
-                    table: table.clone(),
-                    rows,
-                    cols,
-                    body,
-                },
-            },
-            shards: owners,
-        })
+        let result = match failure {
+            Some(e) => Err(e),
+            None => first.ok_or_else(|| {
+                Error::Annotation("annotation resolved to zero owner shards".into())
+            }),
+        };
+        (result, ok_shards)
     }
 
     /// Deletes one annotation through the router. The annotation store
@@ -647,14 +511,8 @@ impl ShardedDatabase {
     /// view of the outcome and, inside a script, the replicated
     /// statement stream). Owners are discovered under the read guards,
     /// which are dropped before any write lock — the same prepare/apply
-    /// split every annotation write follows. Every owner is attempted;
-    /// the first owner's outcome is returned (each owner stores the
-    /// full target list, so summing `rows_refreshed` would
-    /// double-count), or any owner's failure.
+    /// split every annotation write follows.
     pub fn delete_annotation(&self, id: AnnotationId) -> Result<ExecOutcome> {
-        if self.router.is_none() {
-            return self.shards[0].write().delete_annotation(id);
-        }
         let owners: Vec<usize> = {
             let guards = self.read_all();
             guards
@@ -667,25 +525,7 @@ impl ShardedDatabase {
         if owners.is_empty() {
             return Err(Error::Annotation(format!("unknown annotation {id}")));
         }
-        let mut first: Option<ExecOutcome> = None;
-        let mut failure: Option<Error> = None;
-        for &k in &owners {
-            let res = self.shards[k].write().delete_annotation(id);
-            match res {
-                Ok(outcome) => {
-                    if first.is_none() {
-                        first = Some(outcome);
-                    }
-                }
-                Err(e) => failure = Some(e),
-            }
-        }
-        match failure {
-            Some(e) => Err(e),
-            None => first.ok_or_else(|| {
-                Error::Annotation("annotation resolved to zero owner shards".into())
-            }),
-        }
+        self.on_shards(&owners, |db| db.delete_annotation(id)).0
     }
 
     /// Best-effort repair of a partially committed multi-owner
@@ -705,85 +545,68 @@ impl ShardedDatabase {
         }
     }
 
-    /// The shards holding *any* version of `id` — live or tombstoned.
-    /// Lifecycle statements discover owners through this wider probe so
-    /// a retract of an already-retracted id reaches an owner shard and
-    /// fails with its precise lifecycle status ("already retracted")
-    /// instead of a misleading "unknown annotation".
-    fn lifecycle_holders(&self, id: AnnotationId) -> Vec<usize> {
+    /// The shards holding *any* version of `id` — live or tombstoned —
+    /// and whether any of them holds it live. Lifecycle statements
+    /// discover owners through this wider probe so a retract of an
+    /// already-retracted id reaches an owner shard and fails with its
+    /// precise lifecycle status ("already retracted") instead of a
+    /// misleading "unknown annotation".
+    fn lifecycle_holders(&self, id: AnnotationId) -> (Vec<usize>, bool) {
         let guards = self.read_all();
-        guards
+        let holders = guards
             .iter()
             .enumerate()
             .filter(|(_, g)| g.store().get_any(id).is_ok())
             .map(|(k, _)| k)
-            .collect()
+            .collect();
+        (holders, guards.iter().any(|g| g.store().is_live(id)))
     }
 
-    /// Retracts one annotation through the router: routes to the owner
-    /// shards actually holding a version of the id (the same
-    /// discover-under-read-guards, apply-under-owner-write-locks split
-    /// as [`ShardedDatabase::delete_annotation`]). Each owner tombstones
-    /// its replica with its shard-local clock tick and decrementally
-    /// removes the summary contribution; the first owner's outcome is
-    /// returned, or any owner's failure.
+    /// Retracts one annotation through the router.
     pub fn retract_annotation(&self, id: AnnotationId) -> Result<ExecOutcome> {
-        if self.router.is_none() {
-            return self.shards[0].write().retract_annotation(id);
-        }
-        let holders = self.lifecycle_holders(id);
-        if holders.is_empty() {
-            return Err(Error::Annotation(format!("unknown annotation {id}")));
-        }
-        let mut first: Option<ExecOutcome> = None;
-        let mut failure: Option<Error> = None;
-        for &k in &holders {
-            match self.shards[k].write().retract_annotation(id) {
-                Ok(outcome) => {
-                    if first.is_none() {
-                        first = Some(outcome);
-                    }
-                }
-                Err(e) => failure = Some(e),
-            }
-        }
-        match failure {
-            Some(e) => Err(e),
-            None => first.ok_or_else(|| {
-                Error::Annotation("annotation resolved to zero owner shards".into())
-            }),
-        }
+        self.retract_routed(id, None)
     }
 
-    /// Flags one annotation through the router: every owner shard
-    /// appends the flag event to its replica's timeline (shard-local
-    /// tick), keeping the replicas' histories equivalent.
-    pub fn flag_annotation(&self, id: AnnotationId, note: Option<String>) -> Result<ExecOutcome> {
-        if self.router.is_none() {
-            return self.shards[0].write().flag_annotation(id, note);
-        }
-        let holders = self.lifecycle_holders(id);
+    /// `RETRACT ANNOTATION` with a router-allocated tick (unless the
+    /// statement already carried an internal `AT …` stamp): every owner
+    /// shard tombstones its replica at the same tick and decrementally
+    /// removes the summary contribution. The tick is consumed before
+    /// validation — unknown ids included — exactly as serial retraction
+    /// consumes it, so later creation ticks match a serial run's.
+    fn retract_routed(&self, id: AnnotationId, at: Option<u64>) -> Result<ExecOutcome> {
+        let at = at.unwrap_or_else(|| self.router.alloc.lock().tick());
+        let (holders, _) = self.lifecycle_holders(id);
         if holders.is_empty() {
             return Err(Error::Annotation(format!("unknown annotation {id}")));
         }
-        let mut first: Option<ExecOutcome> = None;
-        let mut failure: Option<Error> = None;
-        for &k in &holders {
-            match self.shards[k].write().flag_annotation(id, note.clone()) {
-                Ok(outcome) => {
-                    if first.is_none() {
-                        first = Some(outcome);
-                    }
-                }
-                Err(e) => failure = Some(e),
-            }
+        self.on_shards(&holders, |db| db.retract_annotation_at(id, Some(at)))
+            .0
+    }
+
+    /// Flags one annotation through the router.
+    pub fn flag_annotation(&self, id: AnnotationId, note: Option<String>) -> Result<ExecOutcome> {
+        self.flag_routed(id, note, None)
+    }
+
+    /// `FLAG ANNOTATION` with a router-allocated tick (consumed before
+    /// validation, as in [`ShardedDatabase::retract_annotation`]): every
+    /// owner shard appends the same flag event to its replica's
+    /// timeline, keeping the replicas' histories identical.
+    fn flag_routed(
+        &self,
+        id: AnnotationId,
+        note: Option<String>,
+        at: Option<u64>,
+    ) -> Result<ExecOutcome> {
+        let at = at.unwrap_or_else(|| self.router.alloc.lock().tick());
+        let (holders, _) = self.lifecycle_holders(id);
+        if holders.is_empty() {
+            return Err(Error::Annotation(format!("unknown annotation {id}")));
         }
-        match failure {
-            Some(e) => Err(e),
-            None => first.ok_or_else(|| {
-                Error::Annotation("annotation resolved to zero owner shards".into())
-            }),
-        }
+        self.on_shards(&holders, |db| {
+            db.flag_annotation_at(id, note.clone(), Some(at))
+        })
+        .0
     }
 
     /// Corrects one annotation through the router.
@@ -802,12 +625,13 @@ impl ShardedDatabase {
     /// stamp allocator (unless the statement already carried an internal
     /// `WITH ID … AT …` stamp — the replicated-replay path) and handed
     /// to every owner shard, so all replicas commit a byte-identical
-    /// replacement under one global identity. On a partial failure the
-    /// successor replicas that did commit get a best-effort compensating
-    /// delete; a predecessor left tombstoned on some owners and live on
-    /// the failed one is the same residual window as a partial
-    /// multi-owner commit (DESIGN.md §12) and is reconciled by the
-    /// recovery-time membership sweep.
+    /// replacement under one global identity. A tombstoned predecessor
+    /// fails before any identity is allocated, as in serial execution.
+    /// On a partial failure the successor replicas that did commit get a
+    /// best-effort compensating delete; a predecessor left tombstoned on
+    /// some owners and live on the failed one is the same residual
+    /// window as a partial multi-owner commit (DESIGN.md §12) and is
+    /// reconciled by the recovery-time membership sweep.
     fn correct_annotation_routed(
         &self,
         id: AnnotationId,
@@ -816,91 +640,26 @@ impl ShardedDatabase {
         author: Option<String>,
         stamp: Option<(u64, u64)>,
     ) -> Result<ExecOutcome> {
-        let Some(router) = &self.router else {
-            return match stamp {
-                Some(s) => self.shards[0]
-                    .write()
-                    .correct_annotation_stamped(id, text, document, author, s),
-                None => self.shards[0]
-                    .write()
-                    .correct_annotation(id, text, document, author),
-            };
-        };
-        let holders = self.lifecycle_holders(id);
-        if holders.is_empty() {
+        let (holders, live) = self.lifecycle_holders(id);
+        let Some(&first) = holders.first() else {
             return Err(Error::Annotation(format!("unknown annotation {id}")));
-        }
-        let stamp = match stamp {
-            Some(s) => s,
-            None => router.alloc.lock().stamp(),
         };
-        let mut first: Option<ExecOutcome> = None;
-        let mut failure: Option<Error> = None;
-        let mut ok_shards: Vec<usize> = Vec::new();
-        for &k in &holders {
-            let res = self.shards[k].write().correct_annotation_stamped(
-                id,
-                text.clone(),
-                document.clone(),
-                author.clone(),
-                stamp,
-            );
-            match res {
-                Ok(outcome) => {
-                    ok_shards.push(k);
-                    if first.is_none() {
-                        first = Some(outcome);
-                    }
-                }
-                Err(e) => failure = Some(e),
-            }
+        if !live {
+            let status = self.shards[first].read().store().status(id)?;
+            return Err(Error::Annotation(format!(
+                "annotation {id} is already {status}"
+            )));
         }
-        match failure {
-            Some(e) => {
-                // Converge the successor back to "not written" on the
-                // owners that already committed it.
-                self.compensate_partial(AnnotationId::new(stamp.0), &ok_shards);
-                Err(e)
-            }
-            None => first.ok_or_else(|| {
-                Error::Annotation("annotation resolved to zero owner shards".into())
-            }),
+        let stamp = stamp.unwrap_or_else(|| self.router.alloc.lock().stamp());
+        let (result, ok_shards) = self.on_shards(&holders, |db| {
+            db.correct_annotation_stamped(id, text.clone(), document.clone(), author.clone(), stamp)
+        });
+        if result.is_err() {
+            // Converge the successor back to "not written" on the
+            // owners that already committed it.
+            self.compensate_partial(AnnotationId::new(stamp.0), &ok_shards);
         }
-    }
-
-    /// Applies one prepared annotation to each owner shard in ascending
-    /// order. Every owner is attempted (replica convergence before
-    /// error reporting); any failure is the returned result, after the
-    /// owners that had already stored the replica are compensated.
-    fn apply_one(&self, routed: &RoutedAnnotation) -> Result<ExecOutcome> {
-        let mut first: Option<ExecOutcome> = None;
-        let mut failure: Option<Error> = None;
-        let mut ok_shards: Vec<usize> = Vec::new();
-        for &k in &routed.shards {
-            let res = self.shards[k]
-                .write()
-                .annotate_rows_batch_stamped(vec![routed.stamped.clone()])
-                .pop()
-                .unwrap_or_else(|| Err(Error::Execution("batch of one returned no result".into())));
-            match res {
-                Ok(outcome) => {
-                    ok_shards.push(k);
-                    if first.is_none() {
-                        first = Some(outcome);
-                    }
-                }
-                Err(e) => failure = Some(e),
-            }
-        }
-        match failure {
-            Some(e) => {
-                self.compensate_partial(AnnotationId::new(routed.stamped.id), &ok_shards);
-                Err(e)
-            }
-            None => first.ok_or_else(|| {
-                Error::Annotation("annotation resolved to zero owner shards".into())
-            }),
-        }
+        result
     }
 
     /// Resolves and stamps a batch of `ADD ANNOTATION` statements under
@@ -912,16 +671,13 @@ impl ShardedDatabase {
     /// server's sessions call this, then hand each owner shard's slice
     /// to that shard's committer queue.
     pub fn prepare_sql_annotations(&self, stmts: &[SqlStatement]) -> Vec<Result<RoutedAnnotation>> {
-        let Some(router) = &self.router else {
-            return stmts
-                .iter()
-                .map(|_| {
-                    Err(Error::Execution(
-                        "annotation routing requires a sharded database".into(),
-                    ))
-                })
-                .collect();
-        };
+        let stmts: Vec<&Statement> = stmts.iter().map(|s| &s.stmt).collect();
+        self.prepare(&stmts)
+    }
+
+    /// [`ShardedDatabase::prepare_sql_annotations`] over parsed
+    /// statements.
+    fn prepare(&self, stmts: &[&Statement]) -> Vec<Result<RoutedAnnotation>> {
         let mut out: Vec<Option<Result<RoutedAnnotation>>> = Vec::new();
         out.resize_with(stmts.len(), || None);
         let mut resolved: Vec<(usize, RowAnnotation, Vec<usize>)> = Vec::new();
@@ -934,7 +690,7 @@ impl ShardedDatabase {
             // objects and need the full-shard read set — which convoys
             // behind every shard's committer, so high-writer-count
             // pipelines must stay off it in the common case.
-            let guards = if stmts.iter().any(|s| match &s.stmt {
+            let guards = if stmts.iter().any(|s| match s {
                 Statement::AddAnnotation {
                     where_clause: Some(w),
                     ..
@@ -943,8 +699,8 @@ impl ShardedDatabase {
             }) {
                 self.read_all()
             } else {
-                let k =
-                    router.prepare_rr.fetch_add(1, Ordering::Relaxed) as usize % self.shards.len();
+                let k = self.router.prepare_rr.fetch_add(1, Ordering::Relaxed) as usize
+                    % self.shards.len();
                 vec![self.shards[k].read()]
             };
             let objects = ShardObjects::new(&guards);
@@ -957,7 +713,7 @@ impl ShardedDatabase {
                     table,
                     columns,
                     where_clause,
-                } = &s.stmt
+                } = s
                 else {
                     out[i] = Some(Err(Error::Execution(
                         "annotation batches accept only ADD ANNOTATION statements".into(),
@@ -999,7 +755,7 @@ impl ShardedDatabase {
         // Stamp the whole batch under one allocator lock: ids and ticks
         // come out contiguous and in batch order, as serial staging's
         // would.
-        let mut alloc = router.alloc.lock();
+        let mut alloc = self.router.alloc.lock();
         for (i, item, owners) in resolved {
             let (id, tick) = alloc.stamp();
             out[i] = Some(Ok(RoutedAnnotation {
@@ -1035,11 +791,16 @@ impl ShardedDatabase {
                 Err(e) => results[i] = Some(Err(e)),
                 Ok(routed) => {
                     ids[i] = Some(AnnotationId::new(routed.stamped.id));
-                    for &k in &routed.shards {
-                        per_shard
-                            .entry(k)
-                            .or_default()
-                            .push((i, routed.stamped.clone()));
+                    // Every owner but the last gets a copy; the last
+                    // takes the item itself.
+                    if let Some((&last, rest)) = routed.shards.split_last() {
+                        for &k in rest {
+                            per_shard
+                                .entry(k)
+                                .or_default()
+                                .push((i, routed.stamped.clone()));
+                        }
+                        per_shard.entry(last).or_default().push((i, routed.stamped));
                     }
                 }
             }
@@ -1080,9 +841,6 @@ impl ShardedDatabase {
     /// Sharded [`Database::annotate_batch_sql`]: every item gets its
     /// own result; a failing item does not abort the rest.
     pub fn annotate_batch_sql(&self, stmts: Vec<SqlStatement>) -> Vec<Result<ExecOutcome>> {
-        if self.router.is_none() {
-            return self.shards[0].write().annotate_batch_sql(stmts);
-        }
         let prepared = self.prepare_sql_annotations(&stmts);
         self.apply_prepared(prepared)
     }
@@ -1093,13 +851,10 @@ impl ShardedDatabase {
     /// signature) consumes its tick but no id, exactly as serial
     /// staging does.
     pub fn annotate_rows_batch(&self, items: Vec<RowAnnotation>) -> Vec<Result<AnnotationId>> {
-        let Some(router) = &self.router else {
-            return self.shards[0].write().annotate_rows_batch(items);
-        };
         let mut prepared: Vec<Result<RoutedAnnotation>> = Vec::with_capacity(items.len());
         {
             let shard0 = self.shards[0].read();
-            let mut alloc = router.alloc.lock();
+            let mut alloc = self.router.alloc.lock();
             for item in items {
                 let tid = match shard0.catalog().table_id(&item.table) {
                     Ok(t) => t,
@@ -1109,14 +864,14 @@ impl ShardedDatabase {
                     }
                 };
                 if item.rows.is_empty() {
-                    alloc.clock += 1;
+                    alloc.tick();
                     prepared.push(Err(Error::Annotation(
                         "annotation must have at least one target".into(),
                     )));
                     continue;
                 }
                 if item.cols.is_empty() {
-                    alloc.clock += 1;
+                    alloc.tick();
                     prepared.push(Err(Error::Annotation(
                         "annotation target must cover at least one column".into(),
                     )));
@@ -1146,23 +901,39 @@ impl ShardedDatabase {
     /// Plans on shard 0's (replicated) catalog, executes through the
     /// morsel executor with per-row summary objects read from each
     /// row's owning shard, and registers the result in the router's
-    /// QID registry.
-    fn run_select_routed(&self, sel: &insightnotes_sql::SelectStmt) -> Result<QueryResult> {
-        let router = self
-            .router
-            .as_ref()
-            .ok_or_else(|| Error::Execution("routed select on a routerless database".into()))?;
+    /// QID registry. `AS OF t` runs against every shard's summary
+    /// registry rebuilt at tick `t` and, as on one database, is not
+    /// registered for zoom-in (QID 0).
+    fn run_select_routed(&self, sel: &SelectStmt) -> Result<QueryResult> {
+        let guards = self.read_all();
+        let shard0 = &*guards[0];
+        if let Some(t) = sel.as_of {
+            let past = guards
+                .iter()
+                .map(|g| g.registry_as_of(t))
+                .collect::<Result<Vec<_>>>()?;
+            let objects = ShardObjects {
+                regs: past.iter().collect(),
+            };
+            let plan = Planner::new(shard0.catalog(), &past[0]).plan_select(sel)?;
+            let rows = Executor::new(shard0.catalog(), &past[0])
+                .with_objects(&objects)
+                .execute(&plan)?;
+            return Ok(QueryResult {
+                qid: Qid::new(0),
+                schema: plan.schema().clone(),
+                rows,
+            });
+        }
         // Execute under the guards, register after dropping them: the
         // QID registry spills result rows to the disk cache, and doing
         // that file I/O while holding every shard's read guard would
-        // stall all four committers behind each scan's cache write.
+        // stall all committers behind each scan's cache write.
         let (plan, complexity, rows) = {
-            let guards = self.read_all();
             let objects = ShardObjects::new(&guards);
-            let shard0 = &*guards[0];
             let plan = Planner::new(shard0.catalog(), shard0.registry()).plan_select(sel)?;
             let complexity = estimate_cost(&plan, shard0.catalog()).cost;
-            let mut executor = match router.parallelism {
+            let mut executor = match self.router.parallelism {
                 Some(threads) => {
                     Executor::with_parallelism(shard0.catalog(), shard0.registry(), threads)
                 }
@@ -1172,8 +943,10 @@ impl ShardedDatabase {
             let rows = executor.execute(&plan)?;
             (plan, complexity, rows)
         };
+        drop(guards);
         let schema = plan.schema().clone();
-        let qid = router
+        let qid = self
+            .router
             .zoom
             .lock()
             .register(schema.clone(), plan, &rows, complexity)?;
@@ -1188,13 +961,18 @@ impl ShardedDatabase {
     /// [`ShardedDatabase::run_select_routed`]); only the miss path's
     /// plan re-execution takes the read guards.
     pub fn zoom_in(&self, stmt: &ZoomInStmt) -> Result<ZoomInResult> {
-        let Some(router) = &self.router else {
-            return self.shards[0].read().zoom_in(stmt);
-        };
+        let router = &self.router;
         let qid = Qid::new(stmt.qid);
         let info_schema = router.zoom.lock().info(qid)?.schema.clone();
         let (predicate, instance, component) = {
             let guards = self.read_all();
+            // Cached rows embed summary objects by value, so once any
+            // shard removed annotations or rows since they were cached,
+            // serving them would resurrect what was removed.
+            let removals: u64 = guards.iter().map(|g| g.removals()).sum();
+            if router.removals_seen.swap(removals, Ordering::Relaxed) != removals {
+                router.zoom.lock().invalidate_results();
+            }
             let shard0 = &*guards[0];
             let planner = Planner::new(shard0.catalog(), shard0.registry());
             let predicate = stmt
@@ -1293,18 +1071,14 @@ impl ShardedDatabase {
         Ok(())
     }
 
-    /// Checkpoints every shard in fixed order (`<path>.shard<k>` at
-    /// `shards > 1`, the plain legacy path otherwise), then durably
-    /// writes the sibling snapshot manifest (`<path>.manifest`) and,
-    /// when a WAL directory exists, rewrites its manifest with the new
-    /// epoch vector. A crash between per-shard checkpoints is safe:
+    /// Checkpoints every shard in fixed order (`<path>.shard<k>`), then
+    /// durably writes the sibling snapshot manifest (`<path>.manifest`)
+    /// and, when a WAL directory exists, rewrites its manifest with the
+    /// new epoch vector. A crash between per-shard checkpoints is safe:
     /// each shard's own snapshot/WAL epoch pair recovers independently,
     /// and the manifests' epoch vectors are advisory.
     pub fn checkpoint(&self, path: impl AsRef<Path>) -> Result<()> {
         let path = path.as_ref();
-        let Some(router) = &self.router else {
-            return self.shards[0].write().checkpoint(path);
-        };
         let mut epochs = Vec::with_capacity(self.shards.len());
         for (k, shard) in self.shards.iter().enumerate() {
             let mut guard = shard.write();
@@ -1316,7 +1090,7 @@ impl ShardedDatabase {
         // (recovery refuses shard files without one), so it must never
         // describe shard files that are not all on disk yet.
         write_manifest_file(&snapshot_manifest_path(path), self.shards.len(), &epochs)?;
-        if let Some(base) = &router.wal_base {
+        if let Some(base) = &self.router.wal_base {
             write_manifest(base, self.shards.len(), &epochs)?;
         }
         Ok(())
@@ -1324,109 +1098,104 @@ impl ShardedDatabase {
 
     // -- statistics -------------------------------------------------------
 
-    /// Total distinct annotations across shards (a multi-row annotation
-    /// replicated to several shards counts once — ids are global).
+    /// Total distinct live annotations across shards. A multi-row
+    /// annotation replicated to several shards counts once — on the
+    /// lowest shard that owns one of its rows.
     pub fn annotation_count(&self) -> usize {
-        if self.router.is_none() {
-            return self.shards[0].read().store().stats().count;
-        }
-        let mut seen = IdSet::new();
-        for shard in &self.shards {
-            let guard = shard.read();
-            let names: Vec<String> = guard
-                .catalog()
-                .table_names()
-                .into_iter()
-                .map(String::from)
-                .collect();
-            for name in names {
-                let tid = guard.catalog().table_id(&name).expect("listed table");
-                for row in guard.store().annotated_rows(tid) {
-                    for &(aid, _) in guard.store().on_row(tid, row) {
-                        seen.insert(aid.raw());
-                    }
-                }
-            }
-        }
-        seen.len()
-    }
-
-    /// The highest annotation id allocated so far.
-    pub fn last_annotation_id(&self) -> u64 {
-        match &self.router {
-            Some(router) => router.alloc.lock().next_id,
-            None => self.shards[0].read().store().last_id(),
-        }
+        let n = self.shards.len();
+        self.shards
+            .iter()
+            .enumerate()
+            .map(|(k, shard)| {
+                let guard = shard.read();
+                guard
+                    .store()
+                    .live()
+                    .filter(|(_, ann)| {
+                        ann.targets
+                            .iter()
+                            .map(|t| shard_of(t.table, t.row, n))
+                            .min()
+                            == Some(k)
+                    })
+                    .count()
+            })
+            .sum()
     }
 }
 
 /// Recovery-time cross-shard membership sweep (the DESIGN.md §12
-/// repair): recomputes every live annotation's owner set from its
-/// stored targets and converges any annotation a crash left on only
-/// part of that set. A missing owner that still holds a *tombstone* of
-/// the id means a lifecycle statement (retract / correct) was mid-flight
-/// when the crash hit — the surviving live replicas are retracted to
-/// complete it, preserving their timelines. A missing owner with no
-/// record at all means the original multi-owner commit never finished —
-/// the committed replicas are deleted, so the failure the client saw
-/// converges back to "not written" instead of resurrecting partially
-/// attached. Every repair is WAL-logged and synced on its shard like
-/// any other write.
-fn reconcile_membership(dbs: &[Arc<RwLock<Database>>]) -> Result<usize> {
+/// repair): recomputes every live multi-owner annotation's owner set
+/// from its stored targets and converges any annotation a crash left on
+/// only part of that set. Annotations whose targets all hash to one
+/// shard cannot be partially committed and are skipped without
+/// allocating. A missing owner that still holds a *tombstone* of the id
+/// means a lifecycle statement (retract / correct) was mid-flight when
+/// the crash hit — the surviving live replicas are retracted to complete
+/// it, preserving their timelines. A missing owner with no record at all
+/// means the original multi-owner commit never finished — the committed
+/// replicas are deleted, so the failure the client saw converges back to
+/// "not written" instead of resurrecting partially attached. Every
+/// repair is WAL-logged and synced on its shard like any other write,
+/// in ascending id order.
+fn reconcile_membership(dbs: &mut [Database]) -> Result<usize> {
     let n = dbs.len();
-    let mut live_on: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-    let mut owners_of: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+    // id → (owner shards, shards holding it live)
+    let mut multi: BTreeMap<AnnotationId, (Vec<usize>, Vec<usize>)> = BTreeMap::new();
     for (k, db) in dbs.iter().enumerate() {
-        let guard = db.read();
-        // `as_of(u64::MAX)` is exactly the live set: every tombstone's
-        // retirement tick is <= MAX, so none survives the filter.
-        for (id, ann) in guard.store().as_of(u64::MAX) {
-            live_on.entry(id.raw()).or_default().push(k);
-            owners_of.entry(id.raw()).or_insert_with(|| {
-                let mut owners: Vec<usize> = ann
-                    .targets
-                    .iter()
-                    .map(|t| shard_of(t.table, t.row, n))
-                    .collect();
-                owners.sort_unstable();
-                owners.dedup();
-                owners
-            });
+        for (id, ann) in db.store().live() {
+            if !spans_shards(&ann.targets, n) {
+                continue;
+            }
+            multi
+                .entry(id)
+                .or_insert_with(|| {
+                    let mut owners: Vec<usize> = ann
+                        .targets
+                        .iter()
+                        .map(|t| shard_of(t.table, t.row, n))
+                        .collect();
+                    owners.sort_unstable();
+                    owners.dedup();
+                    (owners, Vec::new())
+                })
+                .1
+                .push(k);
         }
     }
     let mut repaired = 0usize;
-    for (raw, holders) in &live_on {
-        let id = AnnotationId::new(*raw);
-        let Some(owners) = owners_of.get(raw) else {
-            continue;
-        };
+    for (id, (owners, holders)) in multi {
         let missing: Vec<usize> = owners
-            .iter()
-            .copied()
+            .into_iter()
             .filter(|k| !holders.contains(k))
             .collect();
         if missing.is_empty() {
             continue;
         }
-        let lifecycle_progressed = missing.iter().any(|&k| {
-            dbs.get(k)
-                .is_some_and(|db| db.read().store().get_any(id).is_ok())
-        });
-        for &k in holders {
-            let Some(db) = dbs.get(k) else {
+        let lifecycle_progressed = missing
+            .iter()
+            .any(|&k| dbs.get(k).is_some_and(|db| db.store().get_any(id).is_ok()));
+        for k in holders {
+            let Some(db) = dbs.get_mut(k) else {
                 continue;
             };
-            let mut guard = db.write();
             if lifecycle_progressed {
-                guard.retract_annotation(id)?;
+                db.retract_annotation(id)?;
             } else {
-                guard.delete_annotation(id)?;
+                db.delete_annotation(id)?;
             }
-            guard.wal_sync()?;
+            db.wal_sync()?;
         }
         repaired += 1;
     }
     Ok(repaired)
+}
+
+/// Whether a target list's rows hash to more than one shard.
+fn spans_shards(targets: &[Target], shards: usize) -> bool {
+    let mut owners = targets.iter().map(|t| shard_of(t.table, t.row, shards));
+    let first = owners.next();
+    owners.any(|k| Some(k) != first)
 }
 
 /// Sorted, deduplicated owner shards of a target row set.
@@ -1471,11 +1240,11 @@ pub fn shard_snapshot_path(path: &Path, k: usize) -> PathBuf {
     PathBuf::from(os)
 }
 
-/// `<path>.manifest` — the sibling manifest of a sharded snapshot set,
-/// recording the shard count and epoch vector next to the
-/// `<path>.shard<k>` files so a snapshot-only recovery (no WAL
-/// directory, hence no WAL-base manifest) detects a shard-count change
-/// instead of silently loading a subset of the shard files.
+/// `<path>.manifest` — the sibling manifest of a snapshot set, recording
+/// the shard count and epoch vector next to the `<path>.shard<k>` files
+/// so a snapshot-only recovery (no WAL directory, hence no WAL-base
+/// manifest) detects a shard-count change instead of silently loading a
+/// subset of the shard files.
 pub fn snapshot_manifest_path(path: &Path) -> PathBuf {
     let mut os = path.as_os_str().to_os_string();
     os.push(".manifest");
@@ -1509,13 +1278,50 @@ fn shard_snapshots_present(path: &Path) -> Result<bool> {
     Ok(false)
 }
 
-/// Rejects WAL-base layouts a sharded open must not touch: an unsharded
-/// log, or a manifest recording a different shard count.
-fn check_layout_sharded(base: &Path, shards: usize) -> Result<()> {
+/// Rejects snapshot sets a recovery with `shards` shards must not load:
+/// a pre-manifest single-file snapshot at `path` itself, a sibling
+/// manifest recording a different shard count, or (without a WAL
+/// directory) shard files with no manifest.
+fn check_snapshot_layout(path: &Path, shards: usize, has_wal: bool) -> Result<()> {
+    if path.exists() {
+        return Err(Error::Execution(format!(
+            "snapshot {} is a pre-manifest single-file snapshot; only the manifest \
+             layout (<path>.shard<k> plus <path>.manifest) is opened, and converting \
+             requires an explicit migration",
+            path.display()
+        )));
+    }
+    match read_manifest_file(&snapshot_manifest_path(path))? {
+        Some((recorded, _)) if recorded != shards => Err(Error::Execution(format!(
+            "snapshot manifest {} records {recorded} shard(s) but {shards} were \
+             configured; shard-count changes require an explicit migration",
+            snapshot_manifest_path(path).display()
+        ))),
+        // In snapshot-only mode the sibling manifest is the only witness
+        // of the set's shard count; shard files without it mean the set
+        // is incomplete (crash mid-checkpoint), and loading a guessed
+        // subset would silently drop the other shards' data. With a WAL
+        // directory its manifest stays authoritative, and a crash
+        // between per-shard checkpoints legitimately leaves shard files
+        // newer than the sibling manifest.
+        None if !has_wal && shard_snapshots_present(path)? => Err(Error::Execution(format!(
+            "shard snapshot files exist next to {} but its snapshot manifest is \
+             missing; the snapshot set is incomplete or mid-migration",
+            path.display()
+        ))),
+        _ => Ok(()),
+    }
+}
+
+/// Rejects WAL-base layouts an open with `shards` shards must not
+/// touch: a pre-manifest single-directory log, or a manifest recording a
+/// different shard count.
+fn check_layout(base: &Path, shards: usize) -> Result<()> {
     if base.join(crate::wal::WAL_FILE).exists() {
         return Err(Error::Execution(format!(
-            "write-ahead log at {} was written by an unsharded engine; recover it \
-             with shards = 1 (shard-count changes require an explicit migration)",
+            "write-ahead log at {} uses the pre-manifest single-directory layout; \
+             only the manifest layout (MANIFEST plus shard-<k>/) is opened, and \
+             converting requires an explicit migration",
             base.display()
         )));
     }
@@ -1604,7 +1410,7 @@ fn read_manifest_file(path: &Path) -> Result<Option<(usize, Vec<u64>)>> {
 
 /// Builds router state over freshly opened shards: the id/tick
 /// allocator resumes past the maximum any shard has durably seen.
-fn build_router(config: &DbConfig, shards: &[Arc<RwLock<Database>>]) -> Result<RouterState> {
+fn build_router(config: &DbConfig, shards: &[Database]) -> Result<RouterState> {
     let cache_dir = config.cache_dir.as_ref().map_or_else(
         || {
             std::env::temp_dir().join(format!(
@@ -1616,16 +1422,16 @@ fn build_router(config: &DbConfig, shards: &[Arc<RwLock<Database>>]) -> Result<R
         |d| d.join("router"),
     );
     let cache = DiskCache::new(cache_dir, config.cache_budget, config.policy.build())?;
-    let mut next_id = 0u64;
-    let mut clock = 0u64;
-    for shard in shards {
-        let guard = shard.read();
-        next_id = next_id.max(guard.store().last_id());
-        clock = clock.max(guard.clock_now());
-    }
+    let next_id = shards.iter().map(|d| d.store().last_id()).max();
+    let clock = shards.iter().map(Database::clock_now).max();
     Ok(RouterState {
-        alloc: Mutex::new(StampAlloc { next_id, clock }).with_class(lock_class::ALLOC),
+        alloc: Mutex::new(StampAlloc {
+            next_id: next_id.unwrap_or(0),
+            clock: clock.unwrap_or(0),
+        })
+        .with_class(lock_class::ALLOC),
         zoom: Mutex::new(ZoomRegistry::new(cache)).with_class(lock_class::ZOOM),
+        removals_seen: AtomicU64::new(shards.iter().map(Database::removals).sum()),
         broadcast: Mutex::new(()).with_class(lock_class::BROADCAST),
         prepare_rr: AtomicU64::new(0),
         parallelism: config.parallelism,
@@ -1672,20 +1478,22 @@ mod tests {
     }
 
     #[test]
-    fn sharded_create_rejects_unsharded_wal() {
+    fn create_rejects_pre_manifest_wal_at_every_shard_count() {
         let dir = std::env::temp_dir().join(format!(
             "insightnotes-shardlayout-test-{}",
             std::process::id()
         ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join(crate::wal::WAL_FILE), b"").unwrap();
-        let config = DbConfig {
-            wal_dir: Some(dir.clone()),
-            ..DbConfig::default()
-        };
-        let err = ShardedDatabase::create(config, 4).unwrap_err();
-        assert!(err.to_string().contains("unsharded"), "{err}");
+        for shards in [1, 4] {
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(dir.join(crate::wal::WAL_FILE), b"").unwrap();
+            let config = DbConfig {
+                wal_dir: Some(dir.clone()),
+                ..DbConfig::default()
+            };
+            let err = ShardedDatabase::create(config, shards).unwrap_err();
+            assert!(err.to_string().contains("pre-manifest"), "{err}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

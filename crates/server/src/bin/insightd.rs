@@ -13,9 +13,10 @@
 //! and pipelined (protocol v2) clients keep many requests in flight per
 //! connection. At startup the soft `RLIMIT_NOFILE` is raised to the
 //! hard limit so `--max-conns` (default 10 000) is reachable without an
-//! external `ulimit` dance. With `--snapshot`, an existing file is
-//! loaded at startup and a fresh snapshot is written on graceful shutdown
-//! (SIGINT/SIGTERM or a client `.shutdown`). With `--wal-dir`, every
+//! external `ulimit` dance. With `--snapshot FILE`, an existing snapshot
+//! set (`FILE.shard<k>` plus `FILE.manifest`) is loaded at startup and a
+//! fresh one is written on graceful shutdown (SIGINT/SIGTERM or a client
+//! `.shutdown`). With `--wal-dir`, every
 //! write is appended to a write-ahead log before it executes and acks
 //! are released only after the log is durable (`--sync` picks the fsync
 //! policy, default `batch` = one fsync per group-committed batch);
@@ -77,39 +78,23 @@ fn run() -> insightnotes_common::Result<u64> {
     };
     // Recovery handles every startup shape uniformly: fresh database,
     // snapshot only, snapshot + WAL tail, torn tails, stale temp files —
-    // per shard, cross-checked against the shard manifest at N > 1.
+    // per shard, cross-checked against the shard manifest.
     let (db, report) = ShardedDatabase::recover(opts.snapshot.as_deref(), db_config, opts.shards)?;
-    if db.is_sharded() {
-        if report.did_work() || opts.wal_dir.is_some() {
-            for (k, s) in report.shards.iter().enumerate() {
-                eprintln!(
-                    "insightd: recovery: shard {k}: epoch {}; {}",
-                    s.epoch, s.report
-                );
-            }
-            let tables = db.shard(0).read().catalog().table_names().len();
+    if report.did_work() || opts.wal_dir.is_some() {
+        for (k, s) in report.shards.iter().enumerate() {
             eprintln!(
-                "insightd: recovery: {} record(s) replayed across {} shard(s) \
-                 ({tables} tables, {} annotations)",
-                report.records_replayed(),
-                db.shard_count(),
-                db.annotation_count()
+                "insightd: recovery: shard {k}: epoch {}; {}",
+                s.epoch, s.report
             );
         }
-    } else if let Some(single) = report.shards.first() {
-        // Single shard: byte-identical to the unsharded daemon's report.
-        if single.report.snapshot_loaded
-            || single.report.records_replayed > 0
-            || opts.wal_dir.is_some()
-        {
-            let guard = db.shard(0).read();
-            eprintln!(
-                "insightd: recovery: {} ({} tables, {} annotations)",
-                single.report,
-                guard.catalog().table_names().len(),
-                guard.store().stats().count
-            );
-        }
+        let tables = db.shard(0).read().catalog().table_names().len();
+        eprintln!(
+            "insightd: recovery: {} record(s) replayed across {} shard(s) \
+             ({tables} tables, {} annotations)",
+            report.records_replayed(),
+            db.shard_count(),
+            db.annotation_count()
+        );
     }
 
     let config = ServerConfig {
@@ -206,8 +191,8 @@ fn parse_args() -> insightnotes_common::Result<Opts> {
         max_conns: 10_000,
         timeout_ms: 10_000,
         parallelism: None,
-        // Shard per core by default; a one-core box gets the legacy
-        // single-lock engine and on-disk layout.
+        // Shard per core by default; a one-core box gets one shard on
+        // the same routed path and on-disk layout.
         shards: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         shards_set: false,
         wal_dir: None,

@@ -17,35 +17,33 @@
 //! commit (fsync) order. Serial v1 frames stay accepted on the same
 //! port, answered in v1.
 //!
-//! The engine sits behind an `Arc<`[`ShardedDatabase`]`>` — N
-//! partitioned [`Database`] shards (one at the default `--shards 1`,
-//! where the router collapses to the legacy single-lock engine).
-//! Read-class work (SELECT, ZOOMIN, EXPLAIN) executes inline on the
-//! worker under shared locks; replicated Write-class work (DDL,
-//! INSERT, registry changes) broadcasts under exclusive locks in fixed
-//! shard order on a dedicated execute thread. Queries from N sessions
-//! therefore execute concurrently; writers to *different shards* no
-//! longer serialize against each other — and one stalled connection no
-//! longer costs an OS thread.
+//! The engine sits behind an `Arc<`[`ShardedDatabase`]`>` — N ≥ 1
+//! partitioned [`Database`] shards behind one router, one shard being
+//! the degenerate case of the same path. Read-class work (SELECT,
+//! ZOOMIN, EXPLAIN) executes inline on the worker under shared locks;
+//! replicated Write-class work (DDL, INSERT, registry changes)
+//! broadcasts under exclusive locks in fixed shard order on a dedicated
+//! execute thread. Queries from N sessions therefore execute
+//! concurrently; writers to *different shards* do not serialize against
+//! each other — and one stalled connection does not cost an OS thread.
 //!
 //! ## Group commit, per shard
 //!
 //! `Annotate` and `AnnotateBatch` frames do **not** take an exclusive
 //! lock from their session thread. Each shard gets its own bounded
 //! commit queue ([`ServerConfig::commit_queue_depth`]) and its own
-//! committer thread. At one shard, sessions enqueue raw statements and
-//! the committer drains whatever has accumulated into one
-//! [`Database::annotate_batch_sql`] call — one exclusive-lock
+//! committer thread. The session resolves targets and obtains
+//! router-stamped ids/ticks ([`ShardedDatabase::prepare_sql_annotations`],
+//! shard read guards dropped before any enqueue), then hands each owner
+//! shard's slice to that shard's queue — all sends before any reply
+//! wait, so disjoint shards group-commit **in parallel**. Each committer
+//! drains whatever has accumulated into one
+//! [`Database::annotate_rows_batch_stamped`] call — one exclusive-lock
 //! acquisition per *group* of concurrent writers instead of one per
-//! annotation. At `shards > 1`, the session itself resolves targets and
-//! obtains router-stamped ids/ticks
-//! ([`ShardedDatabase::prepare_sql_annotations`], shard read guards
-//! dropped before any enqueue), then hands each owner shard's slice to
-//! that shard's queue — all sends before any reply wait, so disjoint
-//! shards group-commit **in parallel**. Per-statement results fan back
-//! out to the waiting sessions (partial failure allowed within a
-//! batch). Every queue drains fully on graceful shutdown: every
-//! enqueued writer still receives its reply.
+//! annotation. Per-statement results fan back out to the waiting
+//! sessions (partial failure allowed within a batch). Every queue drains
+//! fully on graceful shutdown: every enqueued writer still receives its
+//! reply.
 //!
 //! ## Durability
 //!
@@ -115,7 +113,7 @@ use insightnotes_replication::PositionTable;
 use insightnotes_sql::{parse, Statement, StatementClass};
 use insightnotes_storage::{Column, Value};
 use parking_lot::witness::class as lock_class;
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -287,14 +285,9 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds a listener over a single-shard database. Use port 0 for
-    /// an ephemeral port; read it back with [`Server::local_addr`].
-    pub fn bind(addr: impl ToSocketAddrs, db: Database, config: ServerConfig) -> Result<Self> {
-        Self::bind_sharded(addr, db.into(), config)
-    }
-
-    /// Binds a listener over an already-partitioned engine
-    /// (`insightd --shards N` builds one via [`ShardedDatabase::recover`]).
+    /// Binds a listener over the engine (`insightd --shards N` builds one
+    /// via [`ShardedDatabase::recover`]). Use port 0 for an ephemeral
+    /// port; read it back with [`Server::local_addr`].
     pub fn bind_sharded(
         addr: impl ToSocketAddrs,
         db: ShardedDatabase,
@@ -329,12 +322,6 @@ impl Server {
         ServerHandle {
             state: Arc::clone(&self.state),
         }
-    }
-
-    /// Shard 0 of the shared database (tests inspect state through
-    /// this; at the default single shard it is *the* database).
-    pub fn database(&self) -> Arc<RwLock<Database>> {
-        Arc::clone(self.db.shard(0))
     }
 
     /// The sharded engine behind the server.
@@ -460,27 +447,6 @@ impl Server {
 
 // -- group commit ---------------------------------------------------------
 
-/// What one enqueued ingest frame carries.
-enum CommitPayload {
-    /// Raw `ADD ANNOTATION` statements (with source text, for the WAL).
-    /// The single-shard route: the committer resolves and ingests them
-    /// through [`Database::annotate_batch_sql`].
-    Sql(Vec<SqlStatement>),
-    /// Pre-resolved items already stamped by the router, every one
-    /// owned by this queue's shard. The `shards > 1` route: sessions
-    /// resolve and stamp before enqueueing.
-    Stamped(Vec<StampedRowAnnotation>),
-}
-
-impl CommitPayload {
-    fn len(&self) -> usize {
-        match self {
-            CommitPayload::Sql(v) => v.len(),
-            CommitPayload::Stamped(v) => v.len(),
-        }
-    }
-}
-
 /// How a commit job's results get back to whoever is waiting: a
 /// one-shot callback invoked **on the committer thread** after the
 /// group's fsync, with one [`BatchItem`] per submitted item, in order.
@@ -488,9 +454,11 @@ impl CommitPayload {
 /// callback posts the encoded response back to its event loop.
 type CommitReply = Box<dyn FnOnce(Vec<BatchItem>) + Send>;
 
-/// One enqueued ingest frame plus its completion callback.
+/// One enqueued ingest frame — items already resolved and stamped by
+/// the router, every one owned by this queue's shard — plus its
+/// completion callback.
 struct CommitJob {
-    payload: CommitPayload,
+    items: Vec<StampedRowAnnotation>,
     reply: CommitReply,
 }
 
@@ -515,14 +483,14 @@ impl CommitQueues {
             .all(|g| g.load(Ordering::Relaxed) < self.depth)
     }
 
-    /// Enqueues one payload on `shard`'s queue. Infallible from the
+    /// Enqueues one job's items on `shard`'s queue. Infallible from the
     /// caller's view: if the queue is closed (shutdown) or the shard is
     /// unknown, `reply` is invoked immediately with per-item errors —
     /// every submitted reply runs exactly once, always.
-    fn submit(&self, shard: usize, payload: CommitPayload, reply: CommitReply) {
-        let n = payload.len();
+    fn submit(&self, shard: usize, items: Vec<StampedRowAnnotation>, reply: CommitReply) {
+        let n = items.len();
         let tx = self.txs.lock().get(shard).cloned();
-        let job = CommitJob { payload, reply };
+        let job = CommitJob { items, reply };
         let failed = match tx {
             Some(tx) => {
                 let gauge = self.backlog.get(shard);
@@ -571,10 +539,9 @@ fn batch_item(r: Result<ExecOutcome>, sync_err: Option<&Error>) -> BatchItem {
 /// One shard's dedicated committer thread: each wake-up drains every
 /// job that has accumulated in its queue (capped at
 /// [`wire::MAX_BATCH_ITEMS`] items per group) and ingests the combined
-/// lists through **one** exclusive-lock acquisition on its shard —
-/// [`Database::annotate_batch_sql`] for raw statements,
-/// [`Database::annotate_rows_batch_stamped`] for router-stamped items —
-/// then fsyncs that shard's WAL segment (the group-commit point;
+/// lists through **one** exclusive-lock acquisition on its shard
+/// ([`Database::annotate_rows_batch_stamped`]), then fsyncs that
+/// shard's WAL segment (the group-commit point;
 /// readers may proceed during the fsync, which only needs the shared
 /// lock) and fans the per-item results back to the waiting sessions. A
 /// failed fsync poisons every would-be success in the group. Exits when
@@ -600,61 +567,37 @@ fn run_committer(
     let mut poisoned: Option<String> = None;
     while let Ok(first) = rx.recv() {
         backlog.fetch_sub(1, Ordering::Relaxed);
-        let mut queued = first.payload.len();
+        let mut queued = first.items.len();
         let mut jobs = vec![first];
         while queued < wire::MAX_BATCH_ITEMS {
             match rx.try_recv() {
                 Ok(job) => {
                     backlog.fetch_sub(1, Ordering::Relaxed);
-                    queued += job.payload.len();
+                    queued += job.items.len();
                     jobs.push(job);
                 }
                 Err(_) => break,
             }
         }
-        let mut sql = Vec::new();
-        let mut stamped = Vec::new();
-        // Per job: (is_sql, item count) — replies fan back out in order.
-        let mut spans = Vec::with_capacity(jobs.len());
+        let mut group = Vec::with_capacity(queued);
+        // Per job: (item count, reply) — replies fan back out in order.
         let mut replies = Vec::with_capacity(jobs.len());
-        for job in jobs {
-            match job.payload {
-                CommitPayload::Sql(mut v) => {
-                    spans.push((true, v.len()));
-                    sql.append(&mut v);
-                }
-                CommitPayload::Stamped(mut v) => {
-                    spans.push((false, v.len()));
-                    stamped.append(&mut v);
-                }
-            }
-            replies.push(job.reply);
+        for mut job in jobs {
+            replies.push((job.items.len(), job.reply));
+            group.append(&mut job.items);
         }
         if let Some(why) = &poisoned {
             let item = BatchItem::Err(WireError::from(&Error::Execution(format!(
                 "shard {shard} commits are disabled after an earlier write-ahead-log \
                  sync failure: {why}"
             ))));
-            for ((_, n), reply) in spans.into_iter().zip(replies) {
+            for (n, reply) in replies {
                 reply(vec![item.clone(); n]);
             }
             continue;
         }
         let handle = db.shard(shard);
-        let (sql_results, stamped_results) = {
-            let mut guard = handle.write();
-            let sql_results = if sql.is_empty() {
-                Vec::new()
-            } else {
-                guard.annotate_batch_sql(sql)
-            };
-            let stamped_results = if stamped.is_empty() {
-                Vec::new()
-            } else {
-                guard.annotate_rows_batch_stamped(stamped)
-            };
-            (sql_results, stamped_results)
-        };
+        let results = handle.write().annotate_rows_batch_stamped(group);
         // Group-commit fsync *after* releasing the exclusive lock (sync
         // only needs `&self`), *before* releasing any reply.
         let sync_err = handle.read().wal_sync().err();
@@ -665,22 +608,13 @@ fn run_committer(
             // signal so caught-up replication feeds ship it now.
             state.notify_commit(shard);
         }
-        let mut sql_results = sql_results.into_iter();
-        let mut stamped_results = stamped_results.into_iter();
-        for ((is_sql, n), reply) in spans.into_iter().zip(replies) {
-            let items: Vec<BatchItem> = if is_sql {
-                sql_results
-                    .by_ref()
-                    .take(n)
-                    .map(|r| batch_item(r, sync_err.as_ref()))
-                    .collect()
-            } else {
-                stamped_results
-                    .by_ref()
-                    .take(n)
-                    .map(|r| batch_item(r, sync_err.as_ref()))
-                    .collect()
-            };
+        let mut results = results.into_iter();
+        for (n, reply) in replies {
+            let items: Vec<BatchItem> = results
+                .by_ref()
+                .take(n)
+                .map(|r| batch_item(r, sync_err.as_ref()))
+                .collect();
             // The callback posts to the connection's event loop; a dead
             // connection just drops its response, everyone else's still
             // goes out.
@@ -690,13 +624,12 @@ fn run_committer(
 }
 
 /// Routes one frame's `ADD ANNOTATION` statements into the commit
-/// queue(s). Single shard: the raw statements go to the one committer
-/// (legacy group commit). `shards > 1`: the *session* resolves targets
-/// and obtains router stamps (shard read guards acquired and dropped
-/// inside [`ShardedDatabase::prepare_sql_annotations`], so no lock is
-/// held across a queue send), then submits each owner shard's slice to
-/// that shard's committer — all sends first, then all replies, so
-/// disjoint shards commit and fsync in parallel. A multi-owner item
+/// queue(s): the *session* resolves targets and obtains router stamps
+/// (shard read guards acquired and dropped inside
+/// [`ShardedDatabase::prepare_sql_annotations`], so no lock is held
+/// across a queue send), then submits each owner shard's slice to that
+/// shard's committer — all sends first, then all replies, so disjoint
+/// shards commit and fsync in parallel. A multi-owner item
 /// acks only once every owner shard has fsynced; any owner's failure
 /// becomes the item's result — after the owners that did durably store
 /// the replica are given a best-effort compensating delete
@@ -708,10 +641,6 @@ fn submit_annotations_async(
     stmts: Vec<SqlStatement>,
     done: CommitReply,
 ) {
-    if !db.is_sharded() {
-        queues.submit(0, CommitPayload::Sql(stmts), done);
-        return;
-    }
     let prepared = db.prepare_sql_annotations(&stmts);
     let mut slots: Vec<Option<BatchItem>> = Vec::new();
     slots.resize_with(prepared.len(), || None);
@@ -763,7 +692,7 @@ fn submit_annotations_async(
         let db = Arc::clone(db);
         queues.submit(
             k,
-            CommitPayload::Stamped(batch),
+            batch,
             Box::new(move |items| {
                 let mut g = combine.lock();
                 let Combine {

@@ -123,9 +123,9 @@ fn annotation_sql(text: &str, row: u64) -> String {
     format!("ADD ANNOTATION '{text}' AUTHOR 'crash' ON t WHERE p = {row}")
 }
 
-/// All annotation texts across a sharded layout's per-shard snapshot
-/// files (`<path>.shard<k>`), sorted. Annotations are partitioned, so
-/// the union over shards is the full logical store.
+/// All annotation texts across the per-shard snapshot files
+/// (`<path>.shard<k>`), sorted. Annotations are partitioned, so the
+/// union over shards is the full logical store.
 fn texts_in_sharded_snapshots(path: &Path, shards: usize) -> Vec<String> {
     let mut texts = Vec::new();
     for k in 0..shards {
@@ -144,27 +144,6 @@ fn texts_in_sharded_snapshots(path: &Path, shards: usize) -> Vec<String> {
             "id scan missed shard {k} annotations"
         );
     }
-    texts.sort();
-    texts
-}
-
-/// All annotation texts in a snapshot file, sorted.
-fn texts_in_snapshot(path: &Path) -> Vec<String> {
-    let db = Database::open(path).expect("open snapshot");
-    let count = db.store().stats().count as u64;
-    let mut texts: Vec<String> = (1..=count + 16) // ids may be sparse after restarts
-        .filter_map(|raw| {
-            db.store()
-                .get(insightnotes_common::AnnotationId::new(raw))
-                .ok()
-                .map(|a| a.body.text.clone())
-        })
-        .collect();
-    assert_eq!(
-        texts.len() as u64,
-        count,
-        "dense-id scan missed annotations"
-    );
     texts.sort();
     texts
 }
@@ -199,7 +178,10 @@ fn kill_nine_loses_no_acked_annotations() {
     let mut expected: Vec<String> = (0..8).map(|i| format!("survivor {i}")).collect();
     expected.push("post-restart".into());
     expected.sort();
-    assert_eq!(texts_in_snapshot(&dir.join("db.indb")), expected);
+    assert_eq!(
+        texts_in_sharded_snapshots(&dir.join("db.indb"), 1),
+        expected
+    );
 }
 
 /// The sharded daemon under the same SIGKILL: acked writes are spread
@@ -291,7 +273,7 @@ fn aborted_group_commit_preserves_exactly_the_acked_prefix() {
         .expect("annotate after recovery");
     daemon.shutdown();
 
-    let texts = texts_in_snapshot(&dir.join("db.indb"));
+    let texts = texts_in_sharded_snapshots(&dir.join("db.indb"), 1);
     assert!(texts.contains(&"acked before crash".to_string()));
     assert!(texts.contains(&"after recovery".to_string()));
     let ghosts = texts
@@ -350,7 +332,7 @@ fn fsync_poisoned_shard_stays_poisoned_for_the_committer_lifetime() {
         .expect("annotate after recovery");
     daemon.shutdown();
 
-    let texts = texts_in_snapshot(&dir.join("db.indb"));
+    let texts = texts_in_sharded_snapshots(&dir.join("db.indb"), 1);
     assert!(texts.contains(&"durable before poison".to_string()));
     assert!(texts.contains(&"post-restart".to_string()));
     assert!(

@@ -344,10 +344,15 @@ pub enum Statement {
     },
     /// `RETRACT ANNOTATION n` — tombstones one annotation: its effect is
     /// decrementally removed from every summary it contributed to, but the
-    /// version itself is retained for `HISTORY` / `AS OF` replay.
+    /// version itself is retained for `HISTORY` / `AS OF` replay. The
+    /// optional `AT tick` suffix is internal: the shard router
+    /// pre-allocates the event tick so every owner shard records the same
+    /// one.
     RetractAnnotation {
         /// The annotation id.
         id: u64,
+        /// Internal pre-allocated event tick.
+        at: Option<u64>,
     },
     /// `CORRECT ANNOTATION n 'text' [DOCUMENT 'd'] [AUTHOR 'a']` — a
     /// correction supersedes its predecessor: the old version becomes a
@@ -368,12 +373,15 @@ pub enum Statement {
         stamp: Option<(u64, u64)>,
     },
     /// `FLAG ANNOTATION n ['reason']` — marks an annotation as disputed
-    /// without removing its summary contribution.
+    /// without removing its summary contribution. The optional `AT tick`
+    /// suffix is internal, as for `RETRACT`.
     FlagAnnotation {
         /// The annotation id.
         id: u64,
         /// Optional reviewer note.
         note: Option<String>,
+        /// Internal pre-allocated event tick.
+        at: Option<u64>,
     },
     /// `HISTORY n` — replays one annotation's lifecycle timeline.
     HistoryAnnotation {

@@ -234,7 +234,9 @@ impl Parser {
         }
         if self.eat_kw("retract") {
             self.expect_kw("annotation")?;
-            return Ok(Statement::RetractAnnotation { id: self.uint()? });
+            let id = self.uint()?;
+            let at = self.at_suffix()?;
+            return Ok(Statement::RetractAnnotation { id, at });
         }
         if self.eat_kw("correct") {
             self.expect_kw("annotation")?;
@@ -248,7 +250,8 @@ impl Parser {
             } else {
                 None
             };
-            return Ok(Statement::FlagAnnotation { id, note });
+            let at = self.at_suffix()?;
+            return Ok(Statement::FlagAnnotation { id, note, at });
         }
         if self.eat_kw("history") {
             // The `ANNOTATION` keyword is optional: `HISTORY 7` works.
@@ -256,6 +259,17 @@ impl Parser {
             return Ok(Statement::HistoryAnnotation { id: self.uint()? });
         }
         Err(self.unexpected("a statement keyword"))
+    }
+
+    /// Internal `AT tick` suffix of `RETRACT` / `FLAG ANNOTATION`: the
+    /// shard router pre-allocates the event tick so every owner shard
+    /// records the same one.
+    fn at_suffix(&mut self) -> Result<Option<u64>> {
+        if self.eat_kw("at") {
+            Ok(Some(self.uint()?))
+        } else {
+            Ok(None)
+        }
     }
 
     fn correct_annotation_stmt(&mut self) -> Result<Statement> {
@@ -1180,18 +1194,31 @@ mod tests {
     fn parses_lifecycle_statements() {
         assert!(matches!(
             parse_one("RETRACT ANNOTATION 7").unwrap(),
-            Statement::RetractAnnotation { id: 7 }
+            Statement::RetractAnnotation { id: 7, at: None }
+        ));
+        assert!(matches!(
+            parse_one("RETRACT ANNOTATION 7 AT 12").unwrap(),
+            Statement::RetractAnnotation {
+                id: 7,
+                at: Some(12)
+            }
         ));
         assert!(matches!(
             parse_one("FLAG ANNOTATION 3").unwrap(),
-            Statement::FlagAnnotation { id: 3, note: None }
+            Statement::FlagAnnotation {
+                id: 3,
+                note: None,
+                at: None
+            }
         ));
-        let stmt = parse_one("FLAG ANNOTATION 3 'dubious source'").unwrap();
-        let Statement::FlagAnnotation { id, note } = stmt else {
+        let stmt = parse_one("FLAG ANNOTATION 3 'dubious source' AT 8").unwrap();
+        let Statement::FlagAnnotation { id, note, at } = stmt else {
             panic!()
         };
         assert_eq!(id, 3);
         assert_eq!(note.as_deref(), Some("dubious source"));
+        assert_eq!(at, Some(8));
+        assert!(parse_one("RETRACT ANNOTATION 7 AT").is_err());
         assert!(matches!(
             parse_one("HISTORY 9").unwrap(),
             Statement::HistoryAnnotation { id: 9 }

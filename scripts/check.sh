@@ -16,10 +16,14 @@
 #                                 a HARD gate: any non-baselined finding
 #                                 fails the run
 #   7. cargo clippy -D warnings — style lints over all targets
-#   8. insightd smoke tests     — end-to-end wire-protocol round-trip,
-#                                 then kill -9 crash recovery on the
-#                                 single-shard and sharded (--shards 4)
-#                                 layouts, then an annotation-lifecycle
+#   8. benchmark --all --quick  — every benchmark workload end to end
+#                                 (the embedded one-shard ones included),
+#                                 failing on any output digest or
+#                                 crash-recovery check
+#   9. insightd smoke tests     — end-to-end wire-protocol round-trip,
+#                                 then kill -9 crash recovery at one
+#                                 shard and at four (--shards 1 / 4),
+#                                 then an annotation-lifecycle
 #                                 curation round-trip (annotate → flag →
 #                                 correct → kill -9 → recover → HISTORY
 #                                 → retract), then WAL-shipping replication
@@ -68,10 +72,15 @@ cargo run -q -p lint --
 echo "==> cargo clippy --workspace --all-targets --all-features -- -D warnings"
 cargo clippy --workspace --all-targets --all-features -- -D warnings
 
+echo "==> benchmark --all --quick"
+# Exits non-zero on any failed result digest or crash-recovery check.
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --all --quick
+
 echo "==> insightd smoke test"
 # Spawn the daemon on an ephemeral port, drive one query and one
 # annotation write through insight-cli over the wire, shut it down
-# cleanly, and check the final snapshot was written.
+# cleanly, and check the final snapshot set (`<snapshot>.shard0`) was
+# written.
 SMOKE_DIR="$(mktemp -d)"
 SNAPSHOT="$SMOKE_DIR/smoke.indb"
 LOG="$SMOKE_DIR/insightd.log"
@@ -115,7 +124,7 @@ echo "$BATCH_OUT"
 
 wait "$SERVER_PID"
 SERVER_PID=""
-[[ -s "$SNAPSHOT" ]] || { cat "$LOG"; echo "no snapshot written on shutdown"; exit 1; }
+[[ -s "$SNAPSHOT.shard0" ]] || { cat "$LOG"; echo "no snapshot written on shutdown"; exit 1; }
 
 echo "==> insightd crash-recovery smoke test"
 # Durability round-trip: start with a write-ahead log, ingest an acked
@@ -128,7 +137,7 @@ CRASH_LOG="$SMOKE_DIR/insightd-crash.log"
 mkdir -p "$WAL_DIR"
 
 spawn_walled() {
-  # --shards 1 pins the legacy single-lock layout regardless of core count.
+  # --shards 1 pins one shard regardless of core count.
   ./target/release/insightd --addr 127.0.0.1:0 --snapshot "$CRASH_SNAPSHOT" \
     --wal-dir "$WAL_DIR" --sync batch --shards 1 >"$CRASH_LOG" 2>&1 &
   SERVER_PID=$!
@@ -156,7 +165,7 @@ CRASH_BATCH="$(./target/release/insight-cli --addr "$ADDR" --batch \
 kill -9 "$SERVER_PID"
 wait "$SERVER_PID" 2>/dev/null || true
 SERVER_PID=""
-[[ ! -s "$CRASH_SNAPSHOT" ]] || { echo "crash smoke: unexpected snapshot before recovery"; exit 1; }
+[[ ! -s "$CRASH_SNAPSHOT.shard0" ]] || { echo "crash smoke: unexpected snapshot before recovery"; exit 1; }
 
 spawn_walled
 grep -q 'recovery:' "$CRASH_LOG" || { cat "$CRASH_LOG"; echo "crash smoke: no recovery report"; exit 1; }
@@ -171,9 +180,9 @@ grep -q 'attached to 1 row' <<<"$POST_OUT" || {
 ./target/release/insight-cli --addr "$ADDR" ".shutdown"
 wait "$SERVER_PID"
 SERVER_PID=""
-[[ -s "$CRASH_SNAPSHOT" ]] || { cat "$CRASH_LOG"; echo "crash smoke: no snapshot on shutdown"; exit 1; }
+[[ -s "$CRASH_SNAPSHOT.shard0" ]] || { cat "$CRASH_LOG"; echo "crash smoke: no snapshot on shutdown"; exit 1; }
 for needle in 'survives kill dash nine' 'also survives' 'written after recovery'; do
-  grep -q "$needle" "$CRASH_SNAPSHOT" || {
+  grep -q "$needle" "$CRASH_SNAPSHOT.shard0" || {
     echo "crash smoke: acked annotation '$needle' missing from recovered state"; exit 1;
   }
 done
@@ -458,8 +467,8 @@ kill -TERM "$SERVER_PID"
 wait "$SERVER_PID" || { cat "$FLOOD_LOG"; echo "flood smoke: unclean exit on SIGTERM"; exit 1; }
 SERVER_PID=""
 wait "$FLOOD_PID" 2>/dev/null || true  # the drained flood may see the close; that's fine
-[[ -s "$FLOOD_SNAPSHOT" ]] || { cat "$FLOOD_LOG"; echo "flood smoke: no snapshot on SIGTERM"; exit 1; }
-grep -q 'flood note' "$FLOOD_SNAPSHOT" || {
+[[ -s "$FLOOD_SNAPSHOT.manifest" ]] || { cat "$FLOOD_LOG"; echo "flood smoke: no snapshot on SIGTERM"; exit 1; }
+grep -q 'flood note' "$FLOOD_SNAPSHOT".shard* || {
   echo "flood smoke: acked flood annotations missing from snapshot"; exit 1;
 }
 

@@ -375,8 +375,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// The sharded SQL batch path against one-at-a-time serial replay on
-    /// an unsharded database, at one shard (router collapsed — snapshot
-    /// bytes must match too) and at four (hash-routed, logical digest).
+    /// an unsharded database, at one shard (snapshot bytes must match
+    /// too) and at four (hash-routed, logical digest).
     /// Per item: identical success/failure, identical error text,
     /// identical annotation id.
     #[test]
@@ -436,7 +436,7 @@ proptest! {
                     "single-shard snapshot bytes diverged from serial"
                 );
             }
-            let serial_facade: ShardedDatabase = serial.into();
+            let serial_facade = ShardedDatabase::from_shards(&DbConfig::default(), vec![serial]).unwrap();
             prop_assert_eq!(
                 logical_digest(&sharded),
                 logical_digest(&serial_facade),
@@ -471,7 +471,7 @@ proptest! {
                     (b, s) => panic!("item {i}: sharded {b:?} vs serial {s:?}"),
                 }
             }
-            let serial_facade: ShardedDatabase = serial.into();
+            let serial_facade = ShardedDatabase::from_shards(&DbConfig::default(), vec![serial]).unwrap();
             prop_assert_eq!(
                 logical_digest(&sharded),
                 logical_digest(&serial_facade),
@@ -550,7 +550,8 @@ fn sharded_delete_annotation_routes_to_owners() {
             other => panic!("unexpected outcomes {other:?}"),
         }
         assert_eq!(sharded.annotation_count(), 0);
-        let serial_facade: ShardedDatabase = serial.into();
+        let serial_facade =
+            ShardedDatabase::from_shards(&DbConfig::default(), vec![serial]).unwrap();
         assert_eq!(
             logical_digest(&sharded),
             logical_digest(&serial_facade),

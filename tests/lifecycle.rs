@@ -12,7 +12,11 @@
 //!   reproduces the tombstone state and hides retracted annotations
 //!   from live reads;
 //! * **time travel** — `SELECT ... AS OF <tick>` reproduces the summary
-//!   objects a query saw before a retraction or correction;
+//!   objects a query saw before a retraction or correction, serially
+//!   and through the router;
+//! * **routed timeline** — the router stamps every creation and
+//!   lifecycle event with the tick serial execution would, so a curation
+//!   stream at one shard is byte-identical to serial execution;
 //! * **recovery sweep** — a crash that lands a lifecycle statement (or
 //!   the original commit) on only part of an annotation's owner-shard
 //!   set converges at recovery (DESIGN.md §12 / §15).
@@ -20,7 +24,7 @@
 use insightnotes::common::{AnnotationId, RowId};
 use insightnotes::engine::persist::snapshot;
 use insightnotes::engine::wal::{SyncPolicy, WalRecord};
-use insightnotes::engine::{Database, DbConfig, LifecycleKind, ShardedDatabase};
+use insightnotes::engine::{Database, DbConfig, ExecOutcome, LifecycleKind, ShardedDatabase};
 use insightnotes::summaries::MaintenanceMode;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -284,53 +288,224 @@ fn replica_apply_reproduces_tombstones_and_hides_retracted() {
 
 // -- AS OF time travel -----------------------------------------------------
 
+/// What the `AS OF` check needs from an engine, serial or routed.
+trait Engine {
+    fn run(&mut self, sql: &str);
+    fn select(&self, sql: &str) -> insightnotes::QueryResult;
+    /// The latest logical tick any part of the engine has issued.
+    fn now(&self) -> u64;
+}
+
+impl Engine for Database {
+    fn run(&mut self, sql: &str) {
+        self.execute_sql(sql).unwrap();
+    }
+    fn select(&self, sql: &str) -> insightnotes::QueryResult {
+        self.query(sql).unwrap()
+    }
+    fn now(&self) -> u64 {
+        self.clock_now()
+    }
+}
+
+impl Engine for ShardedDatabase {
+    fn run(&mut self, sql: &str) {
+        self.execute_sql(sql).unwrap();
+    }
+    fn select(&self, sql: &str) -> insightnotes::QueryResult {
+        self.query(sql).unwrap()
+    }
+    fn now(&self) -> u64 {
+        (0..self.shard_count())
+            .map(|k| self.shard(k).read().clock_now())
+            .max()
+            .unwrap()
+    }
+}
+
 /// `AS OF` reproduces the exact summary objects a query returned before
-/// a retraction and a correction rewrote the live view.
+/// a retraction and a correction rewrote the live view — on one
+/// database and through the router at one and four shards.
 #[test]
 fn as_of_reproduces_pre_retract_summaries() {
-    let mut db = Database::new();
-    db.execute_sql(SCHEMA).unwrap();
-    db.execute_sql(LIFECYCLE_STATEMENTS[0]).unwrap();
-    db.execute_sql(LIFECYCLE_STATEMENTS[1]).unwrap();
-    let tick = db.clock_now();
-    // Result rows embed their summary objects by value, so `before` is
-    // a true snapshot even after the registry mutates underneath.
-    let summaries = |r: &insightnotes::QueryResult| -> Vec<String> {
-        r.rows
-            .iter()
-            .map(|row| format!("{:?}", row.summaries))
-            .collect()
+    let mut engines: Vec<(String, Box<dyn Engine>)> =
+        vec![("serial".into(), Box::new(Database::new()))];
+    for shards in [1, 4] {
+        let db = ShardedDatabase::create(DbConfig::default(), shards).unwrap();
+        engines.push((format!("{shards} shard(s)"), Box::new(db)));
+    }
+    for (label, db) in &mut engines {
+        db.run(SCHEMA);
+        db.run(LIFECYCLE_STATEMENTS[0]);
+        db.run(LIFECYCLE_STATEMENTS[1]);
+        let tick = db.now();
+        // Result rows embed their summary objects by value, so `before`
+        // is a true snapshot even after the registry mutates underneath.
+        let summaries = |r: &insightnotes::QueryResult| -> Vec<String> {
+            r.rows
+                .iter()
+                .map(|row| format!("{:?}", row.summaries))
+                .collect()
+        };
+        let before = db.select("SELECT p FROM t ORDER BY p");
+
+        db.run("RETRACT ANNOTATION 1");
+        db.run("CORRECT ANNOTATION 2 'see reference sighting note' AUTHOR 'curie'");
+        let now = db.select("SELECT p FROM t ORDER BY p");
+        assert_ne!(
+            summaries(&now),
+            summaries(&before),
+            "{label}: lifecycle ops must change the live view"
+        );
+
+        let past = db.select(&format!("SELECT p FROM t ORDER BY p AS OF {tick}"));
+        assert_eq!(
+            summaries(&past),
+            summaries(&before),
+            "{label}: AS OF diverged from the pre-retract snapshot"
+        );
+        assert_eq!(
+            past.qid.raw(),
+            0,
+            "{label}: historical views are not zoomable"
+        );
+
+        // And the open end of the timeline is the live view.
+        let current = db.select(&format!("SELECT p FROM t ORDER BY p AS OF {}", db.now()));
+        assert_eq!(summaries(&current), summaries(&now), "{label}");
+    }
+}
+
+/// A zoom-in on a result cached before a retraction neither serves the
+/// retracted annotation nor fails looking it up: the router drops its
+/// cached rows once a shard removes annotations, at one and four shards.
+#[test]
+fn zoom_in_after_retract_does_not_serve_cached_rows() {
+    for shards in [1, 4] {
+        let db = ShardedDatabase::create(DbConfig::default(), shards).unwrap();
+        db.execute_sql(SCHEMA).unwrap();
+        for sql in &LIFECYCLE_STATEMENTS[..3] {
+            db.execute_sql(sql).unwrap();
+        }
+        let qid = db.query("SELECT p, q FROM t").unwrap().qid.raw();
+        let zoom = || -> Vec<u64> {
+            let sql = format!("ZOOMIN REFERENCE QID {qid} ON C LABEL 'Behavior'");
+            match &db.execute_sql(&sql).unwrap()[..] {
+                [ExecOutcome::ZoomIn(z)] => z.annotations.iter().map(|a| a.id.raw()).collect(),
+                other => panic!("unexpected outcome {other:?}"),
+            }
+        };
+        let before = zoom();
+        assert!(before.contains(&1), "{shards} shard(s): {before:?}");
+        db.execute_sql("RETRACT ANNOTATION 1").unwrap();
+        let expected: Vec<u64> = before.into_iter().filter(|&id| id != 1).collect();
+        assert_eq!(zoom(), expected, "{shards} shard(s)");
+    }
+}
+
+// -- router-stamped lifecycle ticks ---------------------------------------
+
+/// Creation ticks of every annotation id the engine has allocated.
+fn creation_ticks(db: &ShardedDatabase, ids: u64) -> Vec<u64> {
+    (1..=ids)
+        .map(|raw| {
+            (0..db.shard_count())
+                .find_map(|k| {
+                    let guard = db.shard(k).read();
+                    let created = guard.store().get_any(AnnotationId::new(raw)).ok();
+                    created.map(|a| a.body.created)
+                })
+                .unwrap()
+        })
+        .collect()
+}
+
+/// `RETRACT` and `FLAG` take their tick from the router's allocator, so
+/// the next `ADD` is stamped after them exactly as in serial execution.
+#[test]
+fn retract_and_flag_ticks_come_from_the_router() {
+    let mut serial = Database::new();
+    serial.execute_sql(SCHEMA).unwrap();
+    let stream = [
+        "ADD ANNOTATION 'eating stonewort near shore' AUTHOR 'ada' ON t WHERE p = 1",
+        "ADD ANNOTATION 'lesions parasites infection' AUTHOR 'brahe' ON t WHERE p = 2",
+        "RETRACT ANNOTATION 1",
+        "FLAG ANNOTATION 2",
+        "ADD ANNOTATION 'diving and foraging' AUTHOR 'curie' ON t WHERE p = 3",
+    ];
+    for sql in stream {
+        serial.execute_sql(sql).unwrap();
+    }
+    let serial_ticks: Vec<u64> = (1..=3)
+        .map(|raw| {
+            serial
+                .store()
+                .get_any(AnnotationId::new(raw))
+                .unwrap()
+                .body
+                .created
+        })
+        .collect();
+    assert_eq!(serial_ticks, [1, 2, 5]);
+    for shards in [1, 4] {
+        let db = ShardedDatabase::create(DbConfig::default(), shards).unwrap();
+        db.execute_sql(SCHEMA).unwrap();
+        for sql in stream {
+            db.execute_sql(sql).unwrap();
+        }
+        assert_eq!(creation_ticks(&db, 3), [1, 2, 5], "{shards} shard(s)");
+    }
+}
+
+/// A seeded curation stream (annotate / flag / correct / retract plus
+/// reads) through the router: at one shard, shard 0 ends byte-identical
+/// to serial execution of the same stream; at four, every annotation's
+/// creation and lifecycle-event ticks equal the serial run's.
+#[test]
+fn curation_stream_through_the_router_matches_serial_execution() {
+    use insightnotes::workload::{curation_script, CurationConfig};
+    let script = curation_script(&CurationConfig {
+        seed: 0xC0DE,
+        clients: 2,
+        statements_per_client: 120,
+        num_birds: 30,
+        add_ratio: 0.4,
+        flag_ratio: 0.15,
+        correct_ratio: 0.15,
+        retract_ratio: 0.15,
+    });
+    let mut serial = Database::new();
+    for sql in script.serial_order() {
+        serial.execute_sql(&sql).unwrap();
+    }
+    let ids = serial.store().last_id();
+    assert!(serial.store().stats().retired > 0, "stream retired nothing");
+    let timeline = |history: &dyn Fn(AnnotationId) -> Vec<insightnotes::engine::LifecycleEvent>| {
+        (1..=ids)
+            .map(|raw| format!("{raw}: {:?}", history(AnnotationId::new(raw))))
+            .collect::<Vec<_>>()
     };
-    let before = db.query("SELECT p FROM t ORDER BY p").unwrap();
-
-    db.execute_sql("RETRACT ANNOTATION 1").unwrap();
-    db.execute_sql("CORRECT ANNOTATION 2 'see reference sighting note' AUTHOR 'curie'")
-        .unwrap();
-    let now = db.query("SELECT p FROM t ORDER BY p").unwrap();
-    assert_ne!(
-        summaries(&now),
-        summaries(&before),
-        "lifecycle ops must change the live view"
-    );
-
-    let past = db
-        .query(&format!("SELECT p FROM t ORDER BY p AS OF {tick}"))
-        .unwrap();
-    assert_eq!(
-        summaries(&past),
-        summaries(&before),
-        "AS OF diverged from the pre-retract snapshot"
-    );
-    assert_eq!(past.qid.raw(), 0, "historical views are not zoomable");
-
-    // And the open end of the timeline is the live view.
-    let current = db
-        .query(&format!(
-            "SELECT p FROM t ORDER BY p AS OF {}",
-            db.clock_now()
-        ))
-        .unwrap();
-    assert_eq!(summaries(&current), summaries(&now));
+    let serial_timeline = timeline(&|id| serial.store().history(id).unwrap());
+    for shards in [1, 4] {
+        let db = ShardedDatabase::create(DbConfig::default(), shards).unwrap();
+        for sql in script.serial_order() {
+            db.execute_sql(&sql).unwrap();
+        }
+        let routed_timeline = timeline(&|id| {
+            (0..shards)
+                .find_map(|k| db.shard(k).read().store().history(id).ok())
+                .unwrap()
+        });
+        assert_eq!(routed_timeline, serial_timeline, "{shards} shard(s)");
+        if shards == 1 {
+            let shard0 = db.shard(0).read();
+            assert!(
+                state_bytes(&shard0) == state_bytes(&serial),
+                "one shard diverged from serial execution"
+            );
+            assert_eq!(shard0.clock_now(), serial.clock_now());
+        }
+    }
 }
 
 // -- recovery-time membership sweep (DESIGN.md §12 / §15) ------------------

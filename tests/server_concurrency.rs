@@ -16,12 +16,13 @@
 //! - the per-row multiset of (text, author) raw annotations.
 //!
 //! The run finishes with a wire-level shutdown and asserts the final
-//! snapshot reopens with the same state (ISSUE acceptance: clean
-//! shutdown writes a snapshot that a fresh `Database::open` reads).
+//! snapshot reopens with the same state (clean shutdown writes a shard
+//! snapshot that a fresh `Database::open` reads).
 
 use insightnotes_client::Client;
 use insightnotes_common::wire::Response;
-use insightnotes_engine::Database;
+use insightnotes_engine::shard::{shard_snapshot_path, snapshot_manifest_path};
+use insightnotes_engine::{Database, DbConfig, ShardedDatabase};
 use insightnotes_server::{Server, ServerConfig};
 use insightnotes_workload::{session_script, SessionConfig, SessionScript};
 use std::collections::BTreeMap;
@@ -125,15 +126,17 @@ fn concurrent_sessions_match_serial_replay() {
         "insightnotes-server-concurrency-{}.indb",
         std::process::id()
     ));
-    std::fs::remove_file(&snapshot).ok();
+    std::fs::remove_file(shard_snapshot_path(&snapshot, 0)).ok();
+    std::fs::remove_file(snapshot_manifest_path(&snapshot)).ok();
 
     let config = ServerConfig {
         snapshot_path: Some(snapshot.clone()),
         ..ServerConfig::default()
     };
-    let server = Server::bind("127.0.0.1:0", Database::new(), config).expect("bind");
+    let db = ShardedDatabase::create(DbConfig::default(), 1).expect("engine");
+    let server = Server::bind_sharded("127.0.0.1:0", db, config).expect("bind");
     let addr = server.local_addr().expect("addr");
-    let db_arc = server.database();
+    let db_arc = server.sharded_database();
     let server_thread = std::thread::spawn(move || server.run().expect("server run"));
 
     // Serial setup phase over one connection.
@@ -163,7 +166,7 @@ fn concurrent_sessions_match_serial_replay() {
 
     // Concurrent state must match the serial replay before shutdown.
     {
-        let db = db_arc.read();
+        let db = db_arc.shard(0).read();
         let concurrent = fingerprint(&db);
         assert_eq!(concurrent.len(), reference.len(), "row count");
         for (id, want) in &reference {
@@ -180,7 +183,9 @@ fn concurrent_sessions_match_serial_replay() {
     );
 
     // The final snapshot reopens with the same order-insensitive state.
-    let reopened = Database::open(&snapshot).expect("reopen snapshot");
+    let shard0 = shard_snapshot_path(&snapshot, 0);
+    let reopened = Database::open(&shard0).expect("reopen snapshot");
     assert_eq!(fingerprint(&reopened), reference, "snapshot state");
-    std::fs::remove_file(&snapshot).ok();
+    std::fs::remove_file(&shard0).ok();
+    std::fs::remove_file(snapshot_manifest_path(&snapshot)).ok();
 }

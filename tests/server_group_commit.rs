@@ -13,7 +13,7 @@
 //! totals, and the per-row multiset of raw annotations.
 
 use insightnotes_client::Client;
-use insightnotes_engine::Database;
+use insightnotes_engine::{Database, DbConfig, ShardedDatabase};
 use insightnotes_server::{Server, ServerConfig, ServerHandle};
 use insightnotes_workload::{ingest_script, IngestConfig, SessionScript};
 use std::collections::BTreeMap;
@@ -90,8 +90,8 @@ fn serial_replay(script: &SessionScript) -> Database {
 }
 
 fn boot() -> (Server, ServerHandle) {
-    let server =
-        Server::bind("127.0.0.1:0", Database::new(), ServerConfig::default()).expect("bind");
+    let db = ShardedDatabase::create(DbConfig::default(), 1).expect("engine");
+    let server = Server::bind_sharded("127.0.0.1:0", db, ServerConfig::default()).expect("bind");
     let handle = server.handle();
     (server, handle)
 }
@@ -128,7 +128,7 @@ fn concurrent_batch_writers_match_serial_replay() {
 
     let (server, handle) = boot();
     let addr = server.local_addr().expect("addr");
-    let db_arc = server.database();
+    let db_arc = server.sharded_database();
     let server_thread = std::thread::spawn(move || server.run().expect("server run"));
 
     let mut setup_client = Client::connect(addr).expect("connect for setup");
@@ -172,7 +172,7 @@ fn concurrent_batch_writers_match_serial_replay() {
     });
 
     {
-        let db = db_arc.read();
+        let db = db_arc.shard(0).read();
         let concurrent = fingerprint(&db);
         assert_eq!(concurrent.len(), reference.len(), "row count");
         for (id, want) in &reference {
@@ -210,7 +210,7 @@ fn graceful_shutdown_mid_queue_loses_no_reply() {
 
     let (server, handle) = boot();
     let addr = server.local_addr().expect("addr");
-    let db_arc = server.database();
+    let db_arc = server.sharded_database();
     let server_thread = std::thread::spawn(move || server.run().expect("server run"));
 
     let mut setup_client = Client::connect(addr).expect("connect for setup");
@@ -270,7 +270,7 @@ fn graceful_shutdown_mid_queue_loses_no_reply() {
     // the annotation is in the final state (committed work is never
     // rolled back), and a committed annotation implies its ack reached
     // the writer (the read-side shutdown lets in-flight replies flush).
-    let committed = db_arc.read().store().stats().count as u64;
+    let committed = db_arc.annotation_count() as u64;
     assert_eq!(
         committed, acked,
         "committed annotations and acknowledged annotations diverged"

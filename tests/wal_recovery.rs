@@ -635,29 +635,34 @@ fn shard_count_changes_and_layout_mixups_are_classified_errors() {
     let err = ShardedDatabase::recover(None, wal_config(&dir, SyncPolicy::Batch), 2)
         .expect_err("shard-count change accepted");
     assert!(err.to_string().contains("migration"), "{err}");
-    // Recover unsharded against a sharded layout.
+    // Recover a four-shard layout with one shard.
     let err = ShardedDatabase::recover(None, wal_config(&dir, SyncPolicy::Batch), 1)
-        .expect_err("sharded layout opened unsharded");
-    assert!(err.to_string().contains("manifest"), "{err}");
+        .expect_err("four-shard layout opened with one shard");
+    assert!(err.to_string().contains("migration"), "{err}");
     // Shard segments present but the manifest is gone.
     std::fs::remove_file(dir.join(MANIFEST_FILE)).unwrap();
     let err = ShardedDatabase::recover(None, wal_config(&dir, SyncPolicy::Batch), SHARD_COUNT)
         .expect_err("manifest-less shard segments accepted");
     assert!(err.to_string().contains("manifest"), "{err}");
 
-    // An unsharded snapshot fed to a sharded recover.
+    // A pre-manifest single-file snapshot, and a pre-manifest log
+    // directory, are refused at every shard count.
     let dir2 = scratch("sharded-layout-snap");
     let snap = dir2.join("db.indb");
     let mut plain = Database::new();
     plain.execute_sql(SCHEMA).unwrap();
     plain.save(&snap).unwrap();
-    let err = ShardedDatabase::recover(
-        Some(&snap),
-        wal_config(&dir2, SyncPolicy::Batch),
-        SHARD_COUNT,
-    )
-    .expect_err("unsharded snapshot accepted by sharded recover");
-    assert!(err.to_string().contains("unsharded"), "{err}");
+    let dir3 = scratch("sharded-layout-wal");
+    drop(Database::with_config(wal_config(&dir3, SyncPolicy::Batch)).unwrap());
+    for shards in [1, SHARD_COUNT] {
+        let err =
+            ShardedDatabase::recover(Some(&snap), wal_config(&dir2, SyncPolicy::Batch), shards)
+                .expect_err("pre-manifest snapshot accepted");
+        assert!(err.to_string().contains("pre-manifest"), "{err}");
+        let err = ShardedDatabase::recover(None, wal_config(&dir3, SyncPolicy::Batch), shards)
+            .expect_err("pre-manifest log accepted");
+        assert!(err.to_string().contains("pre-manifest"), "{err}");
+    }
 }
 
 /// Per-shard checkpoints write `<path>.shard<k>` snapshots, bump each
@@ -685,7 +690,10 @@ fn sharded_checkpoint_then_tail_replay_recovers_with_epochs() {
             .map(|k| state_bytes(&db.shard(k).read()))
             .collect();
     }
-    assert!(!snap.exists(), "no unsharded snapshot file at shards > 1");
+    assert!(
+        !snap.exists(),
+        "no single-file snapshot in the manifest layout"
+    );
     for k in 0..SHARD_COUNT {
         assert!(
             shard_snapshot_path(&snap, k).exists(),
@@ -714,8 +722,8 @@ fn sharded_checkpoint_then_tail_replay_recovers_with_epochs() {
 /// Snapshot-only deployments (no WAL directory) have no WAL-base
 /// manifest, so the sibling `<path>.manifest` written at checkpoint is
 /// the only witness of the snapshot set's shard count. Recovering the
-/// set with the right count works; a different count — or an unsharded
-/// recover, or shard files with the manifest deleted — is a classified
+/// set with the right count works; a different count — one shard
+/// included — or shard files with the manifest deleted is a classified
 /// error instead of silently loading a subset of the shards.
 #[test]
 fn snapshot_only_shard_count_changes_are_classified_errors() {
@@ -759,11 +767,11 @@ fn snapshot_only_shard_count_changes_are_classified_errors() {
         .expect_err("shard-count change accepted in snapshot-only mode");
     assert!(err.to_string().contains("migration"), "{err}");
 
-    // Unsharded recover against the sharded set: the plain path does
-    // not exist, so without the manifest check this would silently
-    // recover an empty database.
+    // One shard against the four-shard set: shard 0's file exists, so
+    // without the manifest check this would silently recover a quarter
+    // of the annotations.
     let err = ShardedDatabase::recover(Some(&snap), DbConfig::default(), 1)
-        .expect_err("sharded snapshot set accepted by unsharded recover");
+        .expect_err("four-shard snapshot set accepted by a one-shard recover");
     assert!(err.to_string().contains("manifest"), "{err}");
 
     // Shard files with the manifest deleted: incomplete set, refused.
