@@ -255,7 +255,9 @@ impl<'a> Decoder<'a> {
     /// Reads a delta-encoded id set (inverse of [`Encoder::idset`]).
     pub fn idset(&mut self) -> Result<IdSet> {
         let len = self.varint()? as usize;
-        let mut ids = Vec::with_capacity(len.min(1 << 16));
+        // Every id takes at least one byte, so the input bounds the
+        // preallocation whatever length the prefix claims.
+        let mut ids = Vec::with_capacity(len.min(self.remaining()));
         let mut prev = 0u64;
         for i in 0..len {
             let delta = self.varint()?;
@@ -282,7 +284,9 @@ impl<'a> Decoder<'a> {
     /// Reads a sequence written by [`Encoder::seq`].
     pub fn seq<T>(&mut self, mut f: impl FnMut(&mut Self) -> Result<T>) -> Result<Vec<T>> {
         let len = self.varint()? as usize;
-        let mut out = Vec::with_capacity(len.min(1 << 16));
+        // Every encoded item takes at least one byte, so the input bounds
+        // the preallocation whatever length the prefix claims.
+        let mut out = Vec::with_capacity(len.min(self.remaining()));
         for _ in 0..len {
             out.push(f(self)?);
         }

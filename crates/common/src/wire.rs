@@ -188,7 +188,7 @@ pub enum Response {
     },
     /// Statement(s) executed; one rendered outcome line each.
     Ack {
-        /// Rendered [`ExecOutcome`]-style messages, in statement order.
+        /// Rendered `ExecOutcome`-style messages, in statement order.
         messages: Vec<String>,
     },
     /// Answer to [`Request::AnnotateBatch`]: one result per statement,

@@ -28,15 +28,15 @@ use crate::exec::{trace::render_row_resolved, Executor, TraceLog};
 use crate::expr::SExpr;
 use crate::plan::{estimate_cost, LogicalPlan, Planner};
 use crate::raw::{RawExecutor, RawRow};
-use crate::wal::{SyncPolicy, Wal, WalRecord, WalRowAnnotation, WalStampedAnnotation};
+use crate::wal::{AnnotationEvent, SyncPolicy, TargetGroup, Wal, WalRecord};
 use crate::zoomin::ZoomRegistry;
 use insightnotes_annotations::{AnnotationBody, AnnotationStore, ColSig, LifecycleEvent, Target};
 use insightnotes_common::{
     AnnotationId, ColumnId, Error, InstanceId, LogicalClock, Qid, Result, RowId, TableId,
 };
 use insightnotes_sql::{
-    parse, parse_one, quote_str, CreateInstanceStmt, Expr, Literal, SelectStmt, Statement,
-    StatementClass, ZoomComponent, ZoomInStmt,
+    parse, parse_one, CreateInstanceStmt, Expr, Literal, SelectStmt, Statement, StatementClass,
+    ZoomComponent, ZoomInStmt,
 };
 use insightnotes_storage::{Catalog, Column, DataType, Row, Schema, Value};
 use insightnotes_summaries::{
@@ -112,14 +112,12 @@ impl Default for DbConfig {
     }
 }
 
-/// A parsed statement that still carries its source text. The
-/// write-ahead log stores logical writes as SQL text (replay simply
-/// re-executes them), so WAL-enabled write entry points need both forms;
-/// pairing them in one value lets the server parse once at the session
-/// layer and hand the committer something it can both log and execute.
+/// A parsed statement that still carries its source text, so the
+/// server can parse once at the session layer and keep the text for
+/// error reports and replicated-write scripts.
 #[derive(Debug, Clone)]
 pub struct SqlStatement {
-    /// The statement's source text (what the WAL records).
+    /// The statement's source text.
     pub sql: String,
     /// The parsed form (what the executor runs). Invariant: this is the
     /// parse of `sql`.
@@ -212,8 +210,8 @@ pub struct ZoomInResult {
     pub matched_rows: usize,
 }
 
-/// One item of a typed [`Database::annotate_rows_batch`] call: an
-/// annotation and the explicit rows it attaches to.
+/// One item of a typed [`crate::ShardedDatabase::annotate_rows_batch`]
+/// call: an annotation and the explicit rows it attaches to.
 #[derive(Debug, Clone)]
 pub struct RowAnnotation {
     /// Target table name.
@@ -222,22 +220,20 @@ pub struct RowAnnotation {
     pub rows: Vec<RowId>,
     /// Covered columns.
     pub cols: ColSig,
-    /// The annotation itself (`created` is stamped at staging time).
+    /// The annotation itself (`created` is set from the stamp).
     pub body: AnnotationBody,
 }
 
-/// A [`RowAnnotation`] whose id and clock tick were allocated up front
-/// by the shard router. Sharded ingestion stamps `(id, tick)` once at
-/// the router so every shard stores the same annotation under the same
-/// identity a serial single-database run would have produced.
-#[derive(Debug, Clone)]
-pub struct StampedRowAnnotation {
-    /// Router-allocated annotation id.
-    pub id: u64,
-    /// Router-allocated logical-clock tick (becomes `body.created`).
-    pub tick: u64,
-    /// The annotation and its explicit targets.
-    pub item: RowAnnotation,
+impl RowAnnotation {
+    /// The `Add` event that stores this item under `(id, tick)`.
+    pub(crate) fn into_event(self, id: u64, tick: u64) -> AnnotationEvent {
+        let targets = vec![TargetGroup {
+            table: self.table,
+            rows: self.rows.iter().map(|r| r.raw()).collect(),
+            cols: self.cols.bits(),
+        }];
+        add_event(id, tick, targets, self.body)
+    }
 }
 
 /// The result of executing one statement.
@@ -453,11 +449,12 @@ impl Database {
     /// snapshot temp file, loads the snapshot if one exists (a missing
     /// file means a fresh database — the first checkpoint creates it),
     /// then replays the write-ahead log tail on top, truncating the log
-    /// at its first torn or corrupt record. Replay re-executes each
-    /// logged statement through the normal execution paths, so the
-    /// recovered state is byte-identical to a serial re-run of the
-    /// logged prefix; records that failed originally fail identically
-    /// again (the log is written before execution) and are skipped.
+    /// at its first torn or corrupt record. Scripts re-execute and
+    /// stamped events re-apply through the live write paths with the
+    /// ids and ticks they were logged with, so the recovered state is
+    /// byte-identical to the logged prefix's; records that failed
+    /// originally fail identically again (the log is written before
+    /// execution) and are skipped.
     ///
     /// Without a configured [`DbConfig::wal_dir`] this degrades to
     /// [`Database::open_with_config`] semantics plus temp-file sweeping.
@@ -509,7 +506,7 @@ impl Database {
                         // statements run through the public write paths
                         // without being appended a second time.
                         report.records_replayed = scan.records.len();
-                        for record in &scan.records {
+                        for record in scan.records {
                             db.replay(record);
                         }
                         db.wal = Some(Mutex::new(scan.wal).with_class(lock_class::WAL));
@@ -520,66 +517,22 @@ impl Database {
         Ok((db, report))
     }
 
-    /// Re-executes one logged record. Errors are deliberately swallowed:
+    /// Re-applies one logged record. Errors are deliberately swallowed:
     /// the log is appended *before* execution, so a record whose
     /// statement failed originally (unknown table, empty target set)
     /// re-fails identically here — that re-failure is the correct
     /// recovered state, not a recovery problem.
-    fn replay(&mut self, record: &WalRecord) {
+    fn replay(&mut self, record: WalRecord) {
         debug_assert!(
             self.wal.is_none(),
             "replay must run before the log attaches"
         );
         match record {
             WalRecord::Script { sql } => {
-                let _ = self.execute_sql(sql);
+                let _ = self.execute_sql(&sql);
             }
-            WalRecord::Batch { statements } => {
-                let stmts: Vec<Statement> = statements
-                    .iter()
-                    .filter_map(|s| parse_one(s).ok())
-                    .collect();
-                let _ = self.annotate_batch(stmts);
-            }
-            WalRecord::Rows { items } => {
-                let items: Vec<RowAnnotation> = items
-                    .iter()
-                    .map(|i| RowAnnotation {
-                        table: i.table.clone(),
-                        rows: i.rows.iter().map(|&r| RowId::new(r)).collect(),
-                        cols: ColSig::from_bits(i.cols),
-                        body: replay_body(&i.text, &i.document, &i.author),
-                    })
-                    .collect();
-                let _ = self.annotate_rows_batch(items);
-            }
-            WalRecord::Stamped { items } => {
-                let items: Vec<StampedRowAnnotation> = items
-                    .iter()
-                    .map(|s| StampedRowAnnotation {
-                        id: s.id,
-                        tick: s.tick,
-                        item: RowAnnotation {
-                            table: s.item.table.clone(),
-                            rows: s.item.rows.iter().map(|&r| RowId::new(r)).collect(),
-                            cols: ColSig::from_bits(s.item.cols),
-                            body: replay_body(&s.item.text, &s.item.document, &s.item.author),
-                        },
-                    })
-                    .collect();
-                let _ = self.annotate_rows_batch_stamped(items);
-            }
-            WalRecord::Targets {
-                targets,
-                text,
-                document,
-                author,
-            } => {
-                let targets: Vec<(TableId, RowId, ColSig)> = targets
-                    .iter()
-                    .map(|&(t, r, c)| (TableId::new(t), RowId::new(r), ColSig::from_bits(c)))
-                    .collect();
-                let _ = self.annotate_targets(targets, replay_body(text, document, author));
+            WalRecord::Stamped { events } => {
+                let _ = self.annotate_stamped(events);
             }
         }
     }
@@ -669,14 +622,13 @@ impl Database {
 
     // -- replication -------------------------------------------------------
 
-    /// Applies one shipped log record through the normal write paths —
-    /// the replica apply point. Semantics match recovery replay exactly
-    /// (same id / clock / vocabulary determinism; a record whose
-    /// statement fails is the correct applied state, not an error).
+    /// Applies one shipped log record — the replica apply point, the
+    /// same replay recovery runs (a record whose statement fails is the
+    /// correct applied state, not an error).
     /// Only valid on a database without an attached log: a replica's
     /// mirrored log is managed by the replication subsystem, so applying
     /// here must not append a second copy.
-    pub fn apply_wal_record(&mut self, record: &WalRecord) -> Result<()> {
+    pub fn apply_wal_record(&mut self, record: WalRecord) -> Result<()> {
         if self.wal.is_some() {
             return Err(Error::Execution(
                 "apply_wal_record is a replica-side path; this database has its own \
@@ -775,17 +727,23 @@ impl Database {
 
     // -- statement execution ----------------------------------------------
 
-    /// Parses and executes a string of `;`-separated statements.
+    /// Parses and executes a string of `;`-separated statements, in
+    /// order, stopping at the first failing one.
     ///
-    /// With a write-ahead log attached, the script's source text is
-    /// appended (and, under [`SyncPolicy::Always`], fsynced) **before**
-    /// anything executes, whenever the script contains at least one
-    /// write. Execution stops at the first failing statement, exactly as
-    /// before — and replay reproduces that same partial execution, which
-    /// is why logging the text up front is sound.
+    /// With a write-ahead log attached, a script holds either catalog
+    /// and row writes or annotation statements, never both — the rule
+    /// [`crate::ShardedDatabase::execute_sql`] applies at every shard
+    /// count. A script of catalog and row writes is appended as one
+    /// `Script` record **before** anything executes, and replay
+    /// reproduces the same partial execution. Each annotation statement
+    /// is stamped from this database's own store and clock and logged as
+    /// its own event ([`Database::annotate_stamped`]).
     pub fn execute_sql(&mut self, sql: &str) -> Result<Vec<ExecOutcome>> {
         let stmts = parse(sql)?;
-        if self.wal.is_some() && stmts.iter().any(|s| s.class() == StatementClass::Write) {
+        if self.wal.is_some() && stmts.iter().any(is_replicated_write) {
+            if stmts.iter().any(is_annotation_write) {
+                return Err(mixed_script_error());
+            }
             self.wal_append(&WalRecord::Script {
                 sql: sql.to_string(),
             })?;
@@ -827,18 +785,19 @@ impl Database {
     ///
     /// On a WAL-enabled database, write-class statements are rejected
     /// here: a parsed [`Statement`] no longer carries its source text,
-    /// so accepting it would execute a write the log never saw — an
-    /// acked-but-unlogged write is precisely the bug the WAL exists to
-    /// rule out. Route writes through [`Database::execute_sql`] (or the
-    /// typed annotation APIs, which log typed records) instead.
+    /// so a catalog or row write could not be logged as a script — and
+    /// an acked-but-unlogged write is precisely the bug the WAL exists
+    /// to rule out. Route writes through [`Database::execute_sql`] or
+    /// the typed `annotate_*` / lifecycle methods instead.
     pub fn execute(&mut self, stmt: Statement) -> Result<ExecOutcome> {
         if stmt.class() == StatementClass::Read {
             return self.execute_read(stmt);
         }
         if self.wal.is_some() {
             return Err(Error::Execution(
-                "write-ahead logging records statements by source text; execute writes \
-                 through execute_sql / annotate_batch_sql on a WAL-enabled database"
+                "a parsed statement carries no source text to log; on a WAL-enabled \
+                 database run writes through execute_sql or the typed annotate_* and \
+                 lifecycle methods"
                     .into(),
             ));
         }
@@ -889,14 +848,11 @@ impl Database {
                     rows: n,
                 })
             }
-            Statement::AddAnnotation {
-                text,
-                document,
-                author,
-                table,
-                columns,
-                where_clause,
-            } => self.add_annotation_stmt(text, document, author, &table, &columns, where_clause),
+            stmt @ (Statement::AddAnnotation { .. }
+            | Statement::DeleteAnnotation { .. }
+            | Statement::RetractAnnotation { .. }
+            | Statement::CorrectAnnotation { .. }
+            | Statement::FlagAnnotation { .. }) => self.annotate_statement(stmt),
             Statement::CreateInstance(ci) => self.create_instance_stmt(ci),
             Statement::DropInstance { name } => {
                 let id = self.registry.instance_id(&name)?;
@@ -934,26 +890,6 @@ impl Database {
                 table,
                 where_clause,
             } => self.delete_rows_stmt(&table, where_clause),
-            Statement::DeleteAnnotation { id } => {
-                // Already logged as part of the surrounding script.
-                self.delete_annotation_inner(AnnotationId::new(id))
-            }
-            Statement::RetractAnnotation { id, at } => {
-                // Already logged as part of the surrounding script.
-                self.retract_annotation_inner(AnnotationId::new(id), at)
-            }
-            Statement::CorrectAnnotation {
-                id,
-                text,
-                document,
-                author,
-                stamp,
-            } => {
-                self.correct_annotation_inner(AnnotationId::new(id), text, document, author, stamp)
-            }
-            Statement::FlagAnnotation { id, note, at } => {
-                self.flag_annotation_inner(AnnotationId::new(id), note, at)
-            }
             Statement::CreateIndex { table, column } => {
                 let tid = self.catalog.table_id(&table)?;
                 let col = self.catalog.table(tid)?.schema().resolve(None, &column)? as u16;
@@ -1016,24 +952,45 @@ impl Database {
     /// rows are re-summarized from the store, which also re-canonicalizes
     /// cluster centroids.
     pub fn delete_annotation(&mut self, id: AnnotationId) -> Result<ExecOutcome> {
-        // The deletion has a trivial, lossless SQL rendering, so the
-        // typed API logs it as a script record.
-        if self.wal.is_some() {
-            self.wal_append(&WalRecord::Script {
-                sql: format!("DELETE ANNOTATION {}", id.raw()),
-            })?;
-        }
-        self.delete_annotation_inner(id)
+        self.annotate_statement(Statement::DeleteAnnotation { id: id.raw() })
     }
 
-    fn delete_annotation_inner(&mut self, id: AnnotationId) -> Result<ExecOutcome> {
-        let removed = self.store.remove(id)?;
-        self.invalidate_zoom_results();
-        let rows_refreshed = self.refresh_after_remove(id, &removed.targets)?;
-        Ok(ExecOutcome::AnnotationDeleted {
-            annotation: id,
-            rows_refreshed,
+    /// `RETRACT ANNOTATION`: tombstones the annotation — its summary
+    /// contribution is removed exactly as a deletion's would be, but the
+    /// version itself and its timeline survive for `HISTORY` / `AS OF`.
+    pub fn retract_annotation(&mut self, id: AnnotationId) -> Result<ExecOutcome> {
+        self.annotate_statement(Statement::RetractAnnotation { id: id.raw() })
+    }
+
+    /// `CORRECT ANNOTATION`: supersedes `id` with a replacement that
+    /// inherits its targets. The predecessor becomes a tombstone linked
+    /// to the successor; the summary engine decrementally removes the old
+    /// contribution and absorbs the new one in O(annotation) under
+    /// [`MaintenanceMode::Incremental`].
+    pub fn correct_annotation(
+        &mut self,
+        id: AnnotationId,
+        text: String,
+        document: Option<String>,
+        author: Option<String>,
+    ) -> Result<ExecOutcome> {
+        self.annotate_statement(Statement::CorrectAnnotation {
+            id: id.raw(),
+            text,
+            document,
+            author,
         })
+    }
+
+    /// `FLAG ANNOTATION`: marks an annotation as disputed. The
+    /// annotation stays live — its summary contribution is untouched —
+    /// but the flag (and optional reviewer note) lands on its timeline.
+    pub fn flag_annotation(
+        &mut self,
+        id: AnnotationId,
+        note: Option<String>,
+    ) -> Result<ExecOutcome> {
+        self.annotate_statement(Statement::FlagAnnotation { id: id.raw(), note })
     }
 
     /// Removes one (already detached) annotation's effect from the
@@ -1092,217 +1049,6 @@ impl Database {
     fn invalidate_zoom_results(&mut self) {
         self.removals += 1;
         self.zoom.lock().invalidate_results();
-    }
-
-    /// `RETRACT ANNOTATION`: tombstones the annotation — its summary
-    /// contribution is removed exactly as a deletion's would be, but the
-    /// version itself and its timeline survive for `HISTORY` / `AS OF`.
-    pub fn retract_annotation(&mut self, id: AnnotationId) -> Result<ExecOutcome> {
-        self.retract_annotation_at(id, None)
-    }
-
-    /// [`Database::retract_annotation`] at an event tick the shard
-    /// router allocated (`Some`), so every owner shard tombstones at the
-    /// same time. The logged statement carries it (`AT …`), so WAL
-    /// replay reproduces it.
-    pub(crate) fn retract_annotation_at(
-        &mut self,
-        id: AnnotationId,
-        at: Option<u64>,
-    ) -> Result<ExecOutcome> {
-        if self.wal.is_some() {
-            self.wal_append(&WalRecord::Script {
-                sql: format!("RETRACT ANNOTATION {}{}", id.raw(), render_at(at)),
-            })?;
-        }
-        self.retract_annotation_inner(id, at)
-    }
-
-    fn retract_annotation_inner(
-        &mut self,
-        id: AnnotationId,
-        at: Option<u64>,
-    ) -> Result<ExecOutcome> {
-        // The tick is consumed before validation so a failing retract
-        // replays identically (same clock trajectory) from the WAL.
-        let at = self.event_tick(at);
-        let removed = self.store.retract(id, at)?;
-        self.invalidate_zoom_results();
-        let rows_refreshed = self.refresh_after_remove(id, &removed.targets)?;
-        Ok(ExecOutcome::AnnotationRetracted {
-            annotation: id,
-            rows_refreshed,
-        })
-    }
-
-    /// `CORRECT ANNOTATION`: supersedes `id` with a replacement that
-    /// inherits its targets. The predecessor becomes a tombstone linked
-    /// to the successor; the summary engine decrementally removes the old
-    /// contribution and absorbs the new one in O(annotation) under
-    /// [`MaintenanceMode::Incremental`].
-    pub fn correct_annotation(
-        &mut self,
-        id: AnnotationId,
-        text: String,
-        document: Option<String>,
-        author: Option<String>,
-    ) -> Result<ExecOutcome> {
-        if self.wal.is_some() {
-            self.wal_append(&WalRecord::Script {
-                sql: render_correct_sql(
-                    id.raw(),
-                    &text,
-                    document.as_deref(),
-                    author.as_deref(),
-                    None,
-                ),
-            })?;
-        }
-        self.correct_annotation_inner(id, text, document, author, None)
-    }
-
-    /// Router path of `CORRECT ANNOTATION`: the successor's `(id, tick)`
-    /// was pre-allocated at the shard router so every owner shard commits
-    /// a byte-identical replacement. The logged statement carries the
-    /// stamp (`WITH ID … AT …`), so per-shard WAL replay re-creates the
-    /// same successor identity the router handed out.
-    pub(crate) fn correct_annotation_stamped(
-        &mut self,
-        id: AnnotationId,
-        text: String,
-        document: Option<String>,
-        author: Option<String>,
-        stamp: (u64, u64),
-    ) -> Result<ExecOutcome> {
-        if self.wal.is_some() {
-            self.wal_append(&WalRecord::Script {
-                sql: render_correct_sql(
-                    id.raw(),
-                    &text,
-                    document.as_deref(),
-                    author.as_deref(),
-                    Some(stamp),
-                ),
-            })?;
-        }
-        self.correct_annotation_inner(id, text, document, author, Some(stamp))
-    }
-
-    fn correct_annotation_inner(
-        &mut self,
-        id: AnnotationId,
-        text: String,
-        document: Option<String>,
-        author: Option<String>,
-        stamp: Option<(u64, u64)>,
-    ) -> Result<ExecOutcome> {
-        // Validate the predecessor up front — before any identity is
-        // allocated — so a correction of a tombstone fails cleanly with
-        // its lifecycle status.
-        if !self.store.is_live(id) {
-            let status = self.store.status(id)?;
-            return Err(Error::Annotation(format!(
-                "annotation {id} is already {status}"
-            )));
-        }
-        let old = self.store.get(id)?;
-        let targets = old.targets.clone();
-        let author = author.unwrap_or_else(|| old.body.author.clone());
-        // The router pre-allocates `(successor id, tick)` in sharded
-        // mode so every owner shard commits an identical replacement;
-        // serial execution allocates both locally.
-        let tick = self.event_tick(stamp.map(|(_, t)| t));
-        let mut body = AnnotationBody::text(text, author);
-        if let Some(d) = document {
-            body = body.with_document(d);
-        }
-        body.created = tick;
-        let successor = match stamp {
-            Some((sid, _)) => self
-                .store
-                .add_at(AnnotationId::new(sid), body, targets.clone())?,
-            None => self.store.add(body, targets.clone())?,
-        };
-        self.store.correct(id, successor, tick)?;
-        self.invalidate_zoom_results();
-        // Subtract the predecessor, then absorb the successor. Under
-        // Rebuild the store already holds the final annotation set (the
-        // predecessor's index entries are detached), so the single
-        // deterministic rebuild pass inside refresh_after_remove covers
-        // both halves at once.
-        let rows_refreshed = self.refresh_after_remove(id, &targets)?;
-        if matches!(self.config.maintenance, MaintenanceMode::Incremental) {
-            let catalog = &self.catalog;
-            let store = &self.store;
-            let registry = &mut self.registry;
-            refresh_after_add(
-                registry,
-                store,
-                successor,
-                &|t, r| tuple_context(catalog, t, r),
-                MaintenanceMode::Incremental,
-            )?;
-        }
-        Ok(ExecOutcome::AnnotationCorrected {
-            annotation: id,
-            successor,
-            rows_refreshed,
-        })
-    }
-
-    /// `FLAG ANNOTATION`: marks an annotation as disputed. The
-    /// annotation stays live — its summary contribution is untouched —
-    /// but the flag (and optional reviewer note) lands on its timeline.
-    pub fn flag_annotation(
-        &mut self,
-        id: AnnotationId,
-        note: Option<String>,
-    ) -> Result<ExecOutcome> {
-        self.flag_annotation_at(id, note, None)
-    }
-
-    /// [`Database::flag_annotation`] at a router-allocated event tick,
-    /// logged as `FLAG ANNOTATION … AT …` (see
-    /// [`Database::retract_annotation_at`]).
-    pub(crate) fn flag_annotation_at(
-        &mut self,
-        id: AnnotationId,
-        note: Option<String>,
-        at: Option<u64>,
-    ) -> Result<ExecOutcome> {
-        if self.wal.is_some() {
-            let mut sql = format!("FLAG ANNOTATION {}", id.raw());
-            if let Some(n) = &note {
-                sql.push(' ');
-                sql.push_str(&quote_str(n));
-            }
-            sql.push_str(&render_at(at));
-            self.wal_append(&WalRecord::Script { sql })?;
-        }
-        self.flag_annotation_inner(id, note, at)
-    }
-
-    fn flag_annotation_inner(
-        &mut self,
-        id: AnnotationId,
-        note: Option<String>,
-        at: Option<u64>,
-    ) -> Result<ExecOutcome> {
-        let at = self.event_tick(at);
-        self.store.flag(id, note, at)?;
-        Ok(ExecOutcome::AnnotationFlagged { annotation: id })
-    }
-
-    /// A lifecycle event's tick: the router-allocated one when given
-    /// (the clock advances to it), else the next local tick.
-    fn event_tick(&mut self, at: Option<u64>) -> u64 {
-        match at {
-            Some(t) => {
-                self.clock.advance_to(t);
-                t
-            }
-            None => self.clock.tick(),
-        }
     }
 
     /// `HISTORY <id>`: the annotation's lifecycle timeline, oldest event
@@ -1492,328 +1238,316 @@ impl Database {
 
     // -- annotations -------------------------------------------------------
 
-    fn add_annotation_stmt(
-        &mut self,
-        text: String,
-        document: Option<String>,
-        author: Option<String>,
-        table: &str,
-        columns: &[String],
-        where_clause: Option<Expr>,
-    ) -> Result<ExecOutcome> {
-        let (id, targets) =
-            self.stage_annotation(text, document, author, table, columns, where_clause)?;
-        let catalog = &self.catalog;
-        let store = &self.store;
-        let registry = &mut self.registry;
-        let maintenance = refresh_after_add(
-            registry,
-            store,
-            id,
-            &|t, r| tuple_context(catalog, t, r),
-            self.config.maintenance,
-        )?;
-        Ok(ExecOutcome::Annotated {
-            annotation: id,
-            targets,
-            maintenance,
-        })
-    }
-
-    /// Stages one `ADD ANNOTATION`: resolves the covered columns and
-    /// target rows, ticks the logical clock, and inserts into the store —
-    /// everything short of refreshing summaries, which single-statement
-    /// execution does immediately and [`Database::annotate_batch`] defers
-    /// to one amortized pass. Returns the new id and its target count.
-    fn stage_annotation(
-        &mut self,
-        text: String,
-        document: Option<String>,
-        author: Option<String>,
-        table: &str,
-        columns: &[String],
-        where_clause: Option<Expr>,
-    ) -> Result<(AnnotationId, usize)> {
-        let (tid, cols, rows) = resolve_annotation_targets(
-            &self.catalog,
-            &self.registry,
-            &self.registry,
-            table,
-            columns,
-            where_clause,
-        )?;
-        let targets: Vec<Target> = rows
-            .into_iter()
-            .map(|rid| Target::new(tid, rid, cols))
-            .collect();
-        let n = targets.len();
-
-        let mut body = AnnotationBody::text(text, author.unwrap_or_else(|| "anonymous".into()));
-        body.created = self.clock.tick();
-        if let Some(doc) = document {
-            body = body.with_document(doc);
-        }
-        let id = self.store.add(body, targets)?;
-        Ok((id, n))
-    }
-
-    /// Executes a batch of `ADD ANNOTATION` statements under **one**
-    /// exclusive-lock acquisition with amortized maintenance. Every item
-    /// gets its own result — a failing statement (unknown table, empty
-    /// target set) does not abort the rest of the batch.
+    /// Applies stamped annotation events in order — the one apply path
+    /// behind every annotation write: the bare-database methods below,
+    /// the shard router, the server's per-shard committers, WAL replay
+    /// and replica apply. With a log attached, the events are appended
+    /// as **one** [`WalRecord::Stamped`] record first (the group-commit
+    /// unit); if that append fails nothing applies and every event
+    /// reports the failure.
     ///
-    /// Staging (predicate resolution, clock ticks, store inserts) runs
-    /// item by item exactly as [`Database::execute`] would, so the
-    /// resulting store and snapshot bytes are identical to a serial
-    /// replay. Maintenance then runs once over the whole batch, grouped
-    /// by `(table, row)`: one summary-object unshare per touched
-    /// `(row, instance)` pair and one tuple-context rendering per row,
-    /// instead of one of each per annotation. Within a batch, `WHERE`
-    /// predicates over summary components observe the summary state as
-    /// of batch start (maintenance is deferred to the end).
-    pub fn annotate_batch(&mut self, stmts: Vec<Statement>) -> Vec<Result<ExecOutcome>> {
-        if self.wal.is_some() {
-            let err = || {
-                Err(Error::Execution(
-                    "write-ahead logging records statements by source text; submit \
-                     annotation batches through annotate_batch_sql on a WAL-enabled database"
-                        .into(),
-                ))
-            };
-            return stmts.iter().map(|_| err()).collect();
+    /// Every event gets its own result, and a failing event does not
+    /// stop the rest. A run of consecutive `Add`s stages item by item
+    /// (same ids, ticks and store bytes as one-by-one application), then
+    /// refreshes summaries in one amortized pass grouped by row. Each
+    /// other event ends the current run before it applies.
+    ///
+    /// An `Add` re-checks its target rows against this database's
+    /// table: a replicated `DELETE FROM` may have removed rows between
+    /// stamping and apply. Vanished rows are skipped, and an `Add` whose
+    /// every row vanished fails with its tick consumed — the serial
+    /// schedule in which the delete committed first. An unknown table
+    /// fails before the tick is consumed. The check reads only this
+    /// database's state, so replay re-derives the same target set.
+    pub fn annotate_stamped(&mut self, events: Vec<AnnotationEvent>) -> Vec<Result<ExecOutcome>> {
+        let n = events.len();
+        let record = WalRecord::Stamped { events };
+        if let Err(e) = self.wal_append(&record) {
+            let msg = format!("write-ahead log append failed: {e}");
+            return (0..n).map(|_| Err(Error::Execution(msg.clone()))).collect();
         }
-        self.annotate_batch_inner(stmts)
-    }
-
-    /// [`Database::annotate_batch`] with source texts attached: on a
-    /// WAL-enabled database the whole batch is appended as **one** log
-    /// record before any item stages — the group-commit unit the server's
-    /// committer fsyncs once per drained queue. If the append itself
-    /// fails, no item executes and every item reports the failure.
-    pub fn annotate_batch_sql(&mut self, stmts: Vec<SqlStatement>) -> Vec<Result<ExecOutcome>> {
-        let (texts, parsed): (Vec<String>, Vec<Statement>) =
-            stmts.into_iter().map(|s| (s.sql, s.stmt)).unzip();
-        if self.wal.is_some() {
-            if let Err(e) = self.wal_append(&WalRecord::Batch { statements: texts }) {
-                let msg = format!("write-ahead log append failed: {e}");
-                return parsed
-                    .iter()
-                    .map(|_| Err(Error::Execution(msg.clone())))
-                    .collect();
+        let WalRecord::Stamped { events } = record else {
+            unreachable!("the record was built as Stamped above")
+        };
+        let mut results: Vec<Option<Result<ExecOutcome>>> = Vec::with_capacity(n);
+        // The current run of staged adds: (result slot, id, target count).
+        let mut run: Vec<(usize, AnnotationId, usize)> = Vec::new();
+        for event in events {
+            if !matches!(event, AnnotationEvent::Add { .. }) {
+                self.refresh_run(&mut run, &mut results);
             }
+            let result = match event {
+                AnnotationEvent::Add {
+                    id,
+                    tick,
+                    targets,
+                    text,
+                    document,
+                    author,
+                } => {
+                    let body = AnnotationBody {
+                        text,
+                        document,
+                        author,
+                        created: tick,
+                    };
+                    match self.stage_add(AnnotationId::new(id), targets, body) {
+                        Ok((aid, n)) => {
+                            run.push((results.len(), aid, n));
+                            None
+                        }
+                        Err(e) => Some(Err(e)),
+                    }
+                }
+                AnnotationEvent::Retract { id, tick } => {
+                    Some(self.apply_retract(AnnotationId::new(id), tick))
+                }
+                AnnotationEvent::Flag { id, tick, note } => {
+                    self.clock.advance_to(tick);
+                    let id = AnnotationId::new(id);
+                    Some(
+                        self.store
+                            .flag(id, note, tick)
+                            .map(|()| ExecOutcome::AnnotationFlagged { annotation: id }),
+                    )
+                }
+                AnnotationEvent::Correct {
+                    id,
+                    successor,
+                    tick,
+                    text,
+                    document,
+                    author,
+                } => Some(self.apply_correct(
+                    AnnotationId::new(id),
+                    AnnotationId::new(successor),
+                    tick,
+                    text,
+                    document,
+                    author,
+                )),
+                AnnotationEvent::Delete { id } => Some(self.apply_delete(AnnotationId::new(id))),
+            };
+            results.push(result);
         }
-        self.annotate_batch_inner(parsed)
+        self.refresh_run(&mut run, &mut results);
+        results
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|| Err(Error::Execution("event left unresolved".into()))))
+            .collect()
     }
 
-    fn annotate_batch_inner(&mut self, stmts: Vec<Statement>) -> Vec<Result<ExecOutcome>> {
-        let mut results: Vec<Option<Result<ExecOutcome>>> = Vec::new();
-        results.resize_with(stmts.len(), || None);
-        let mut staged: Vec<(usize, AnnotationId, usize)> = Vec::new();
-        for (i, stmt) in stmts.into_iter().enumerate() {
-            match stmt {
-                Statement::AddAnnotation {
-                    text,
-                    document,
-                    author,
-                    table,
-                    columns,
-                    where_clause,
-                } => match self.stage_annotation(
-                    text,
-                    document,
-                    author,
+    /// [`Database::annotate_stamped`] of one event.
+    pub(crate) fn annotate_one(&mut self, event: AnnotationEvent) -> Result<ExecOutcome> {
+        self.annotate_stamped(vec![event])
+            .pop()
+            .unwrap_or_else(|| Err(Error::Execution("event left unresolved".into())))
+    }
+
+    /// Stamps one annotation statement from this database's own store
+    /// and clock, then applies it through [`Database::annotate_stamped`].
+    /// The stamps are the ones the shard router would hand out: an
+    /// `ADD` whose targets do not resolve and a `CORRECT` of a tombstone
+    /// consume nothing; `RETRACT` and `FLAG` consume their tick even
+    /// when the id turns out unknown.
+    fn annotate_statement(&mut self, stmt: Statement) -> Result<ExecOutcome> {
+        let next_id = self.store.last_id() + 1;
+        let tick = self.clock.now() + 1;
+        let event = match stmt {
+            Statement::AddAnnotation {
+                text,
+                document,
+                author,
+                table,
+                columns,
+                where_clause,
+            } => {
+                let (_, cols, rows) = resolve_annotation_targets(
+                    &self.catalog,
+                    &self.registry,
+                    &self.registry,
                     &table,
                     &columns,
                     where_clause,
-                ) {
-                    Ok((id, targets)) => staged.push((i, id, targets)),
-                    Err(e) => results[i] = Some(Err(e)),
-                },
-                _ => {
-                    results[i] = Some(Err(Error::Execution(
-                        "annotation batches accept only ADD ANNOTATION statements".into(),
-                    )));
+                )?;
+                let mut body =
+                    AnnotationBody::text(text, author.unwrap_or_else(|| "anonymous".into()));
+                body.document = document;
+                RowAnnotation {
+                    table,
+                    rows,
+                    cols,
+                    body,
+                }
+                .into_event(next_id, tick)
+            }
+            Statement::DeleteAnnotation { id } => AnnotationEvent::Delete { id },
+            Statement::RetractAnnotation { id } => AnnotationEvent::Retract { id, tick },
+            Statement::FlagAnnotation { id, note } => AnnotationEvent::Flag { id, tick, note },
+            Statement::CorrectAnnotation {
+                id,
+                text,
+                document,
+                author,
+            } => {
+                self.require_live(AnnotationId::new(id))?;
+                AnnotationEvent::Correct {
+                    id,
+                    successor: next_id,
+                    tick,
+                    text,
+                    document,
+                    author,
                 }
             }
-        }
-        let ids: Vec<AnnotationId> = staged.iter().map(|&(_, id, _)| id).collect();
-        match self.batch_refresh(&ids) {
-            Ok(mut per_ann) => {
-                for (i, id, targets) in staged {
-                    results[i] = Some(Ok(ExecOutcome::Annotated {
-                        annotation: id,
-                        targets,
-                        maintenance: per_ann.remove(&id).unwrap_or_default(),
-                    }));
-                }
+            other => {
+                return Err(Error::Execution(format!(
+                    "not an annotation statement: {other:?}"
+                )))
             }
-            Err(e) => {
-                let msg = format!("batch maintenance failed: {e}");
-                for (i, _, _) in staged {
-                    results[i] = Some(Err(Error::Summary(msg.clone())));
-                }
-            }
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every batch item resolved"))
-            .collect()
+        };
+        self.annotate_one(event)
     }
 
-    /// Typed batch ingestion: the [`Database::annotate_rows`] equivalent
-    /// of [`Database::annotate_batch`]. Items are staged in order (same
-    /// clock ticks and annotation ids as one-by-one calls), then
-    /// summaries refresh in one amortized pass.
-    pub fn annotate_rows_batch(&mut self, items: Vec<RowAnnotation>) -> Vec<Result<AnnotationId>> {
-        if self.wal.is_some() {
-            let record = WalRecord::Rows {
-                items: items.iter().map(wal_row_item).collect(),
-            };
-            if let Err(e) = self.wal_append(&record) {
-                let msg = format!("write-ahead log append failed: {e}");
-                return items
-                    .iter()
-                    .map(|_| Err(Error::Execution(msg.clone())))
-                    .collect();
-            }
+    /// Fails with the lifecycle status unless `id` is live.
+    fn require_live(&self, id: AnnotationId) -> Result<()> {
+        if self.store.is_live(id) {
+            return Ok(());
         }
-        let mut results: Vec<Option<Result<AnnotationId>>> = Vec::new();
-        results.resize_with(items.len(), || None);
-        let mut staged: Vec<(usize, AnnotationId)> = Vec::new();
-        for (i, item) in items.into_iter().enumerate() {
-            match self.stage_row_annotation(item) {
-                Ok(id) => staged.push((i, id)),
-                Err(e) => results[i] = Some(Err(e)),
-            }
-        }
-        let ids: Vec<AnnotationId> = staged.iter().map(|&(_, id)| id).collect();
-        match self.batch_refresh(&ids) {
-            Ok(_) => {
-                for (i, id) in staged {
-                    results[i] = Some(Ok(id));
-                }
-            }
-            Err(e) => {
-                let msg = format!("batch maintenance failed: {e}");
-                for (i, _) in staged {
-                    results[i] = Some(Err(Error::Summary(msg.clone())));
-                }
-            }
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every batch item resolved"))
-            .collect()
+        let status = self.store.status(id)?;
+        Err(Error::Annotation(format!(
+            "annotation {id} is already {status}"
+        )))
     }
 
-    fn stage_row_annotation(&mut self, item: RowAnnotation) -> Result<AnnotationId> {
-        let tid = self.catalog.table_id(&item.table)?;
-        let mut body = item.body;
-        body.created = self.clock.tick();
-        let targets: Vec<Target> = item
-            .rows
-            .iter()
-            .map(|&r| Target::new(tid, r, item.cols))
-            .collect();
-        self.store.add(body, targets)
-    }
-
-    /// Pre-stamped batch ingestion for the shard router: like
-    /// [`Database::annotate_rows_batch`], but each item carries the
-    /// annotation id and clock tick the router already allocated, so
-    /// every shard that stores (a slice of) the same annotation agrees
-    /// on its identity and timestamp. On a WAL-enabled database the
-    /// whole batch is logged as one [`WalRecord::Stamped`] record before
-    /// any item stages.
-    ///
-    /// Failure semantics mirror serial staging: an unknown table fails
-    /// before the tick is consumed; an empty target list consumes the
-    /// tick (the clock advances past it) but stores nothing.
-    pub fn annotate_rows_batch_stamped(
+    /// Stores one stamped `Add` (see [`Database::annotate_stamped`] for
+    /// the target re-check), leaving summaries to the run's refresh.
+    fn stage_add(
         &mut self,
-        items: Vec<StampedRowAnnotation>,
-    ) -> Vec<Result<ExecOutcome>> {
-        if self.wal.is_some() {
-            let record = WalRecord::Stamped {
-                items: items.iter().map(wal_stamped_item).collect(),
-            };
-            if let Err(e) = self.wal_append(&record) {
-                let msg = format!("write-ahead log append failed: {e}");
-                return items
-                    .iter()
-                    .map(|_| Err(Error::Execution(msg.clone())))
-                    .collect();
-            }
+        id: AnnotationId,
+        groups: Vec<TargetGroup>,
+        body: AnnotationBody,
+    ) -> Result<(AnnotationId, usize)> {
+        let mut targets = Vec::new();
+        let mut named = 0usize;
+        for group in groups {
+            let tid = self.catalog.table_id(&group.table)?;
+            let table = self.catalog.table(tid)?;
+            let cols = ColSig::from_bits(group.cols);
+            named += group.rows.len();
+            targets.extend(
+                group
+                    .rows
+                    .into_iter()
+                    .map(RowId::new)
+                    .filter(|&r| table.get(r).is_some())
+                    .map(|r| Target::new(tid, r, cols)),
+            );
         }
-        let mut results: Vec<Option<Result<ExecOutcome>>> = Vec::new();
-        results.resize_with(items.len(), || None);
-        let mut staged: Vec<(usize, AnnotationId, usize)> = Vec::new();
-        for (i, s) in items.into_iter().enumerate() {
-            match self.stage_stamped(s) {
-                Ok((id, targets)) => staged.push((i, id, targets)),
-                Err(e) => results[i] = Some(Err(e)),
-            }
-        }
-        let ids: Vec<AnnotationId> = staged.iter().map(|&(_, id, _)| id).collect();
-        match self.batch_refresh(&ids) {
-            Ok(mut per_ann) => {
-                for (i, id, targets) in staged {
-                    results[i] = Some(Ok(ExecOutcome::Annotated {
-                        annotation: id,
-                        targets,
-                        maintenance: per_ann.remove(&id).unwrap_or_default(),
-                    }));
-                }
-            }
-            Err(e) => {
-                let msg = format!("batch maintenance failed: {e}");
-                for (i, _, _) in staged {
-                    results[i] = Some(Err(Error::Summary(msg.clone())));
-                }
-            }
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every batch item resolved"))
-            .collect()
-    }
-
-    /// Stages one pre-stamped annotation: advances the clock to the
-    /// router-allocated tick, then stores under the router-allocated id.
-    ///
-    /// Target rows are re-validated against the (replicated) table:
-    /// the router resolved them under shard read guards that were
-    /// dropped before this shard's write lock was taken, so a
-    /// replicated `DELETE FROM` broadcast may have removed rows in
-    /// between — attaching to them would fabricate a state no serial
-    /// schedule produces. Vanished rows are skipped; an annotation
-    /// whose every target vanished fails (tick consumed, nothing
-    /// stored), matching the serial schedule in which the delete
-    /// committed first. The filter reads only this shard's own state,
-    /// so WAL replay of the stamped record re-derives the identical
-    /// target set.
-    fn stage_stamped(&mut self, s: StampedRowAnnotation) -> Result<(AnnotationId, usize)> {
-        let tid = self.catalog.table_id(&s.item.table)?;
-        self.clock.advance_to(s.tick);
-        let mut body = s.item.body;
-        body.created = s.tick;
-        let table = self.catalog.table(tid)?;
-        let targets: Vec<Target> = s
-            .item
-            .rows
-            .iter()
-            .filter(|&&r| table.get(r).is_some())
-            .map(|&r| Target::new(tid, r, s.item.cols))
-            .collect();
-        if targets.is_empty() && !s.item.rows.is_empty() {
+        self.clock.advance_to(body.created);
+        if targets.is_empty() && named > 0 {
             return Err(Error::Annotation(format!(
-                "annotation {} targets only rows deleted before it committed",
-                s.id
+                "annotation {id} targets only rows deleted before it committed"
             )));
         }
         let n = targets.len();
-        let id = self.store.add_at(AnnotationId::new(s.id), body, targets)?;
-        Ok((id, n))
+        Ok((self.store.add_at(id, body, targets)?, n))
+    }
+
+    /// Refreshes summaries for the staged run of adds in one pass and
+    /// fills in their results; leaves the run empty.
+    fn refresh_run(
+        &mut self,
+        run: &mut Vec<(usize, AnnotationId, usize)>,
+        results: &mut [Option<Result<ExecOutcome>>],
+    ) {
+        if run.is_empty() {
+            return;
+        }
+        let ids: Vec<AnnotationId> = run.iter().map(|&(_, id, _)| id).collect();
+        let refreshed = self.batch_refresh(&ids);
+        for (i, id, targets) in run.drain(..) {
+            results[i] = Some(match &refreshed {
+                Ok(per_ann) => Ok(ExecOutcome::Annotated {
+                    annotation: id,
+                    targets,
+                    maintenance: per_ann.get(&id).copied().unwrap_or_default(),
+                }),
+                Err(e) => Err(Error::Summary(format!("batch maintenance failed: {e}"))),
+            });
+        }
+    }
+
+    fn apply_delete(&mut self, id: AnnotationId) -> Result<ExecOutcome> {
+        let removed = self.store.remove(id)?;
+        self.invalidate_zoom_results();
+        let rows_refreshed = self.refresh_after_remove(id, &removed.targets)?;
+        Ok(ExecOutcome::AnnotationDeleted {
+            annotation: id,
+            rows_refreshed,
+        })
+    }
+
+    fn apply_retract(&mut self, id: AnnotationId, tick: u64) -> Result<ExecOutcome> {
+        // The tick is consumed before validation, so a failing retract
+        // leaves the clock where a successful one would.
+        self.clock.advance_to(tick);
+        let removed = self.store.retract(id, tick)?;
+        self.invalidate_zoom_results();
+        let rows_refreshed = self.refresh_after_remove(id, &removed.targets)?;
+        Ok(ExecOutcome::AnnotationRetracted {
+            annotation: id,
+            rows_refreshed,
+        })
+    }
+
+    fn apply_correct(
+        &mut self,
+        id: AnnotationId,
+        successor: AnnotationId,
+        tick: u64,
+        text: String,
+        document: Option<String>,
+        author: Option<String>,
+    ) -> Result<ExecOutcome> {
+        // Validate the predecessor before consuming the tick, so a
+        // correction of a tombstone fails cleanly with its status.
+        self.require_live(id)?;
+        let old = self.store.get(id)?;
+        let targets = old.targets.clone();
+        let body = AnnotationBody {
+            text,
+            document,
+            author: author.unwrap_or_else(|| old.body.author.clone()),
+            created: tick,
+        };
+        self.clock.advance_to(tick);
+        self.store.add_at(successor, body, targets.clone())?;
+        self.store.correct(id, successor, tick)?;
+        self.invalidate_zoom_results();
+        // Subtract the predecessor, then absorb the successor. Under
+        // Rebuild the store already holds the final annotation set (the
+        // predecessor's index entries are detached), so the single
+        // deterministic rebuild pass inside refresh_after_remove covers
+        // both halves at once.
+        let rows_refreshed = self.refresh_after_remove(id, &targets)?;
+        if matches!(self.config.maintenance, MaintenanceMode::Incremental) {
+            let catalog = &self.catalog;
+            let store = &self.store;
+            let registry = &mut self.registry;
+            refresh_after_add(
+                registry,
+                store,
+                successor,
+                &|t, r| tuple_context(catalog, t, r),
+                MaintenanceMode::Incremental,
+            )?;
+        }
+        Ok(ExecOutcome::AnnotationCorrected {
+            annotation: id,
+            successor,
+            rows_refreshed,
+        })
     }
 
     /// One maintenance pass over a batch of freshly stored annotations.
@@ -1905,7 +1639,8 @@ impl Database {
     }
 
     /// Typed annotation API (used by the workload loader): attaches one
-    /// annotation to explicit row ids.
+    /// annotation to explicit row ids, stamped from this database's own
+    /// store and clock.
     pub fn annotate_rows(
         &mut self,
         table: &str,
@@ -1913,34 +1648,15 @@ impl Database {
         cols: ColSig,
         body: AnnotationBody,
     ) -> Result<AnnotationId> {
-        if self.wal.is_some() {
-            self.wal_append(&WalRecord::Rows {
-                items: vec![WalRowAnnotation {
-                    table: table.to_string(),
-                    rows: rows.iter().map(|r| r.raw()).collect(),
-                    cols: cols.bits(),
-                    text: body.text.clone(),
-                    document: body.document.clone(),
-                    author: body.author.clone(),
-                }],
-            })?;
-        }
-        let tid = self.catalog.table_id(table)?;
-        let mut body = body;
-        body.created = self.clock.tick();
-        let targets: Vec<Target> = rows.iter().map(|&r| Target::new(tid, r, cols)).collect();
-        let id = self.store.add(body, targets)?;
-        let catalog = &self.catalog;
-        let store = &self.store;
-        let registry = &mut self.registry;
-        refresh_after_add(
-            registry,
-            store,
-            id,
-            &|t, r| tuple_context(catalog, t, r),
-            self.config.maintenance,
-        )?;
-        Ok(id)
+        let item = RowAnnotation {
+            table: table.to_string(),
+            rows: rows.to_vec(),
+            cols,
+            body,
+        };
+        let id = self.store.last_id() + 1;
+        let event = item.into_event(id, self.clock.now() + 1);
+        self.annotate_one(event).map(|_| AnnotationId::new(id))
     }
 
     /// Typed annotation API: attaches one annotation to targets that may
@@ -1951,35 +1667,23 @@ impl Database {
         targets: Vec<(TableId, RowId, ColSig)>,
         body: AnnotationBody,
     ) -> Result<AnnotationId> {
-        if self.wal.is_some() {
-            self.wal_append(&WalRecord::Targets {
-                targets: targets
-                    .iter()
-                    .map(|&(t, r, c)| (t.raw(), r.raw(), c.bits()))
-                    .collect(),
-                text: body.text.clone(),
-                document: body.document.clone(),
-                author: body.author.clone(),
-            })?;
+        // Consecutive targets on one table and column set share a group;
+        // the flattened order is the given order.
+        let mut groups: Vec<TargetGroup> = Vec::new();
+        for (table, row, cols) in targets {
+            let name = self.catalog.table(table)?.name();
+            match groups.last_mut() {
+                Some(g) if g.table == name && g.cols == cols.bits() => g.rows.push(row.raw()),
+                _ => groups.push(TargetGroup {
+                    table: name.to_string(),
+                    rows: vec![row.raw()],
+                    cols: cols.bits(),
+                }),
+            }
         }
-        let mut body = body;
-        body.created = self.clock.tick();
-        let targets: Vec<Target> = targets
-            .into_iter()
-            .map(|(t, r, c)| Target::new(t, r, c))
-            .collect();
-        let id = self.store.add(body, targets)?;
-        let catalog = &self.catalog;
-        let store = &self.store;
-        let registry = &mut self.registry;
-        refresh_after_add(
-            registry,
-            store,
-            id,
-            &|t, r| tuple_context(catalog, t, r),
-            self.config.maintenance,
-        )?;
-        Ok(id)
+        let id = self.store.last_id() + 1;
+        let event = add_event(id, self.clock.now() + 1, groups, body);
+        self.annotate_one(event).map(|_| AnnotationId::new(id))
     }
 
     // -- summary instances ---------------------------------------------------
@@ -2165,10 +1869,10 @@ pub(crate) fn matching_rows_with(
 }
 
 /// Resolves one `ADD ANNOTATION`'s covered columns and target rows —
-/// the read-only half of staging, shared between serial staging and the
+/// the step before stamping, shared between the bare database and the
 /// shard router (which resolves under read guards, stamps, then routes
-/// each target row to its owning shard). Errors exactly as serial
-/// staging would: unknown table / column first, then an empty match set.
+/// each target row to its owning shard). Errors on an unknown table or
+/// column first, then on an empty match set.
 pub(crate) fn resolve_annotation_targets(
     catalog: &Catalog,
     registry: &SummaryRegistry,
@@ -2216,66 +1920,53 @@ fn flatten_and(e: &SExpr, out: &mut Vec<SExpr>) {
     }
 }
 
-/// Renders a lossless `CORRECT ANNOTATION` statement (string fields
-/// quoted with `''` doubling) — what the typed API and the shard router
-/// log / route.
-pub(crate) fn render_correct_sql(
+/// The `Add` event storing `body` under `(id, tick)` on `targets`.
+pub(crate) fn add_event(
     id: u64,
-    text: &str,
-    document: Option<&str>,
-    author: Option<&str>,
-    stamp: Option<(u64, u64)>,
-) -> String {
-    let mut sql = format!("CORRECT ANNOTATION {id} {}", quote_str(text));
-    if let Some(d) = document {
-        sql.push_str(" DOCUMENT ");
-        sql.push_str(&quote_str(d));
-    }
-    if let Some(a) = author {
-        sql.push_str(" AUTHOR ");
-        sql.push_str(&quote_str(a));
-    }
-    if let Some((sid, tick)) = stamp {
-        sql.push_str(&format!(" WITH ID {sid} AT {tick}"));
-    }
-    sql
-}
-
-/// The internal ` AT <tick>` suffix of a router-stamped `RETRACT` /
-/// `FLAG ANNOTATION` (empty when the tick is local).
-fn render_at(at: Option<u64>) -> String {
-    at.map_or_else(String::new, |t| format!(" AT {t}"))
-}
-
-/// Projects a typed batch item into its log form (`created` excluded:
-/// replay re-stamps it from the replayed clock).
-fn wal_row_item(item: &RowAnnotation) -> WalRowAnnotation {
-    WalRowAnnotation {
-        table: item.table.clone(),
-        rows: item.rows.iter().map(|r| r.raw()).collect(),
-        cols: item.cols.bits(),
-        text: item.body.text.clone(),
-        document: item.body.document.clone(),
-        author: item.body.author.clone(),
+    tick: u64,
+    targets: Vec<TargetGroup>,
+    body: AnnotationBody,
+) -> AnnotationEvent {
+    AnnotationEvent::Add {
+        id,
+        tick,
+        targets,
+        text: body.text,
+        document: body.document,
+        author: body.author,
     }
 }
 
-/// Projects one pre-stamped batch item into its log form.
-fn wal_stamped_item(s: &StampedRowAnnotation) -> WalStampedAnnotation {
-    WalStampedAnnotation {
-        id: s.id,
-        tick: s.tick,
-        item: wal_row_item(&s.item),
-    }
+/// Whether a statement writes the *partitioned* annotation store
+/// (`ADD` / `DELETE` / `RETRACT` / `CORRECT` / `FLAG ANNOTATION`).
+pub(crate) fn is_annotation_write(stmt: &Statement) -> bool {
+    matches!(
+        stmt,
+        Statement::AddAnnotation { .. }
+            | Statement::DeleteAnnotation { .. }
+            | Statement::RetractAnnotation { .. }
+            | Statement::CorrectAnnotation { .. }
+            | Statement::FlagAnnotation { .. }
+    )
 }
 
-/// Rebuilds an annotation body from its logged fields.
-fn replay_body(text: &str, document: &Option<String>, author: &str) -> AnnotationBody {
-    let mut body = AnnotationBody::text(text.to_string(), author.to_string());
-    if let Some(d) = document {
-        body = body.with_document(d.clone());
-    }
-    body
+/// Whether a statement is a catalog or row write, replicated to every
+/// shard and logged as script text.
+pub(crate) fn is_replicated_write(stmt: &Statement) -> bool {
+    stmt.class() == StatementClass::Write && !is_annotation_write(stmt)
+}
+
+/// The error for a script mixing annotation statements with catalog or
+/// row writes. The two are logged and routed differently (one stamped
+/// event per annotation statement, one script for the rest), so no
+/// single record could replay such a script as it ran.
+pub(crate) fn mixed_script_error() -> Error {
+    Error::Execution(
+        "a script cannot mix annotation statements (ADD / DELETE / RETRACT / \
+         CORRECT / FLAG ANNOTATION) with other writes; submit annotation \
+         writes separately"
+            .into(),
+    )
 }
 
 /// Renders a tuple's text content for data-variant summary instances.

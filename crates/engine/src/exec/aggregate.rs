@@ -270,7 +270,7 @@ pub fn aggregate(
 }
 
 /// Parallel aggregation: each input morsel folds into a partial
-/// [`GroupState`]; the partials merge left-to-right in morsel order.
+/// `GroupState`; the partials merge left-to-right in morsel order.
 /// Group output order and the summary algebra match the serial path;
 /// float SUM/AVG may differ by addition reordering.
 pub fn aggregate_parallel(

@@ -43,7 +43,7 @@ use insightnotes_summaries::{SharedObject, SummaryRegistry};
 /// A single-shard database answers from its one [`SummaryRegistry`];
 /// the shard router answers from a facade that hash-routes each
 /// `(table, row)` to the owning shard's registry. Must be `Sync` in
-/// practice: [`Executor::attach`] calls it from morsel workers.
+/// practice: `Executor::attach` calls it from morsel workers.
 pub trait ObjectSource {
     /// The summary objects maintained on `(table, row)`, in instance
     /// order — same contract as [`SummaryRegistry::objects_on`].

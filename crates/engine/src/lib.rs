@@ -42,7 +42,7 @@ pub mod zoomin;
 pub use annotated::AnnotatedRow;
 pub use db::{
     Database, DbConfig, ExecOutcome, PolicyKind, QueryResult, RecoveryReport, RowAnnotation,
-    SqlStatement, StampedRowAnnotation, ZoomInResult,
+    SqlStatement, ZoomInResult,
 };
 pub use exec::TraceLog;
 pub use expr::SExpr;
@@ -51,4 +51,4 @@ pub use plan::LogicalPlan;
 pub use shard::{
     shard_of, RoutedAnnotation, ShardRecovery, ShardedDatabase, ShardedRecoveryReport,
 };
-pub use wal::SyncPolicy;
+pub use wal::{AnnotationEvent, SyncPolicy};

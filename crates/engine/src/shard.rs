@@ -13,7 +13,7 @@
 //!   one shard: its lock, its WAL segment, its committer.
 //! - **Identity.** Annotation ids and logical-clock ticks are allocated
 //!   once at the router (one tiny mutex, held for nanoseconds) and
-//!   carried into shards as [`StampedRowAnnotation`]s, so the global
+//!   carried into shards as typed [`AnnotationEvent`]s, so the global
 //!   id/tick sequence stays monotone exactly as a serial run's would.
 //!   A multi-row annotation is stored whole (full target list, same id
 //!   and tick) on every shard owning at least one of its rows; reads
@@ -27,10 +27,9 @@
 //!   replicas' statement streams. Lifecycle statements (`RETRACT` /
 //!   `CORRECT` / `FLAG ANNOTATION`) route the same way; their ticks (and
 //!   a correction's successor id) are allocated once at the router and
-//!   carried to every owner as an internal `AT …` / `WITH ID … AT …`
-//!   stamp, and recovery runs a cross-shard membership sweep
-//!   ([`reconcile_membership`]) that converges any annotation a crash
-//!   left partially committed.
+//!   carried to every owner inside the event, and recovery runs a
+//!   cross-shard membership sweep (`reconcile_membership`) that
+//!   converges any annotation a crash left partially committed.
 //! - **Lock ordering.** Replicated writes (DDL, INSERT, DELETE)
 //!   broadcast to all shards in fixed order `0..N` under one broadcast
 //!   mutex; sessions that prepare annotations take all shard read locks
@@ -53,16 +52,18 @@
 
 use crate::cache::DiskCache;
 use crate::db::{
-    resolve_annotation_targets, Database, DbConfig, ExecOutcome, QueryResult, RecoveryReport,
-    RowAnnotation, SqlStatement, StampedRowAnnotation, ZoomInResult, ZoomedAnnotation,
+    is_annotation_write, is_replicated_write, mixed_script_error, resolve_annotation_targets,
+    Database, DbConfig, ExecOutcome, QueryResult, RecoveryReport, RowAnnotation, SqlStatement,
+    ZoomInResult, ZoomedAnnotation,
 };
 use crate::exec::{Executor, ObjectSource};
 use crate::plan::{estimate_cost, Planner};
+use crate::wal::AnnotationEvent;
 use crate::zoomin::ZoomRegistry;
 use insightnotes_annotations::{AnnotationBody, Target};
 use insightnotes_common::{AnnotationId, Error, IdSet, InstanceId, Qid, Result, RowId, TableId};
 use insightnotes_sql::{
-    parse, parse_one, Expr, SelectStmt, Statement, StatementClass, ZoomComponent, ZoomInStmt,
+    parse_one, parse_spanned, Expr, SelectStmt, Statement, ZoomComponent, ZoomInStmt,
 };
 use insightnotes_summaries::{SharedObject, SummaryRegistry};
 use parking_lot::witness::class as lock_class;
@@ -146,8 +147,10 @@ struct RouterState {
 /// the (sorted, deduplicated) shards that own at least one target row.
 #[derive(Debug, Clone)]
 pub struct RoutedAnnotation {
-    /// The stamped item every owner shard stores verbatim.
-    pub stamped: StampedRowAnnotation,
+    /// The router-allocated annotation id.
+    pub id: AnnotationId,
+    /// The stamped `Add` event every owner shard applies verbatim.
+    pub event: AnnotationEvent,
     /// Owner shard indices, ascending.
     pub shards: Vec<usize>,
 }
@@ -327,19 +330,21 @@ impl ShardedDatabase {
 
     // -- statement execution ----------------------------------------------
 
-    /// Parses and executes a script:
+    /// Parses and executes a script, statement by statement in order,
+    /// stopping at the first failure:
     ///
-    /// - all Read-class → per-statement fan-out read path;
-    /// - writes, none of them touching the *partitioned* annotation
-    ///   store → the whole script broadcasts to every shard in fixed
-    ///   order under the broadcast mutex (every shard executes it,
-    ///   shard 0's outcomes are returned — replicas apply the identical
-    ///   statement stream even when a statement fails);
+    /// - reads run through the fan-out read path
+    ///   ([`ShardedDatabase::execute_read`]), so their QIDs live in the
+    ///   router's registry wherever they sit in the script;
+    /// - each maximal run of consecutive catalog and row writes (DDL,
+    ///   INSERT, DELETE FROM, registry changes) broadcasts to every shard
+    ///   in fixed order under the broadcast mutex, as one script of its
+    ///   own source text (every shard executes it, shard 0's outcomes are
+    ///   returned — replicas apply the identical statement stream even
+    ///   when a statement fails);
     /// - annotation statements (`ADD` / `DELETE` / `RETRACT` / `CORRECT`
-    ///   / `FLAG ANNOTATION`), optionally with reads between them → each
-    ///   routes to its owner shards in order, stopping at the first
-    ///   failure exactly as serial execution would;
-    /// - annotation statements mixed with replicated writes → a
+    ///   / `FLAG ANNOTATION`) each route to their owner shards;
+    /// - annotation statements mixed with catalog or row writes → a
     ///   classified error, at every shard count. The two routes cannot
     ///   interleave: a partitioned statement succeeds only on the shards
     ///   that own its rows, so broadcasting it would fail on the others,
@@ -347,58 +352,38 @@ impl ShardedDatabase {
     ///   apply the rest of the script to a different set of shards —
     ///   permanently forking the replicated state.
     pub fn execute_sql(&self, sql: &str) -> Result<Vec<ExecOutcome>> {
-        let stmts = parse(sql)?;
-        if stmts.iter().all(|s| s.class() == StatementClass::Read) {
-            return stmts.into_iter().map(|s| self.execute_read(s)).collect();
-        }
-        let partitioned = |s: &Statement| {
-            matches!(
-                s,
-                Statement::AddAnnotation { .. }
-                    | Statement::DeleteAnnotation { .. }
-                    | Statement::RetractAnnotation { .. }
-                    | Statement::CorrectAnnotation { .. }
-                    | Statement::FlagAnnotation { .. }
-            )
-        };
-        if !stmts.iter().any(partitioned) {
-            return self.broadcast_script(sql);
-        }
-        if stmts
-            .iter()
-            .any(|s| s.class() == StatementClass::Write && !partitioned(s))
+        let stmts = parse_spanned(sql)?;
+        if stmts.iter().any(|(s, _)| is_replicated_write(s))
+            && stmts.iter().any(|(s, _)| is_annotation_write(s))
         {
-            return Err(Error::Execution(
-                "a script cannot mix annotation statements (ADD / DELETE / RETRACT / \
-                 CORRECT / FLAG ANNOTATION) with other writes; submit annotation \
-                 writes separately"
-                    .into(),
-            ));
+            return Err(mixed_script_error());
         }
         let mut out = Vec::with_capacity(stmts.len());
-        for stmt in stmts {
+        let mut stmts = stmts.into_iter().peekable();
+        while let Some((stmt, span)) = stmts.next() {
+            if is_replicated_write(&stmt) {
+                let mut end = span.end;
+                while let Some((_, next)) = stmts.next_if(|(s, _)| is_replicated_write(s)) {
+                    end = next.end;
+                }
+                out.extend(self.broadcast_script(&sql[span.start..end])?);
+                continue;
+            }
             out.push(match stmt {
                 Statement::DeleteAnnotation { id } => {
                     self.delete_annotation(AnnotationId::new(id))?
                 }
-                Statement::RetractAnnotation { id, at } => {
-                    self.retract_routed(AnnotationId::new(id), at)?
+                Statement::RetractAnnotation { id } => {
+                    self.retract_annotation(AnnotationId::new(id))?
                 }
                 Statement::CorrectAnnotation {
                     id,
                     text,
                     document,
                     author,
-                    stamp,
-                } => self.correct_annotation_routed(
-                    AnnotationId::new(id),
-                    text,
-                    document,
-                    author,
-                    stamp,
-                )?,
-                Statement::FlagAnnotation { id, note, at } => {
-                    self.flag_routed(AnnotationId::new(id), note, at)?
+                } => self.correct_annotation(AnnotationId::new(id), text, document, author)?,
+                Statement::FlagAnnotation { id, note } => {
+                    self.flag_annotation(AnnotationId::new(id), note)?
                 }
                 add @ Statement::AddAnnotation { .. } => {
                     let prepared = self.prepare(&[&add]);
@@ -562,83 +547,61 @@ impl ShardedDatabase {
         (holders, guards.iter().any(|g| g.store().is_live(id)))
     }
 
-    /// Retracts one annotation through the router.
-    pub fn retract_annotation(&self, id: AnnotationId) -> Result<ExecOutcome> {
-        self.retract_routed(id, None)
-    }
-
-    /// `RETRACT ANNOTATION` with a router-allocated tick (unless the
-    /// statement already carried an internal `AT …` stamp): every owner
-    /// shard tombstones its replica at the same tick and decrementally
-    /// removes the summary contribution. The tick is consumed before
-    /// validation — unknown ids included — exactly as serial retraction
-    /// consumes it, so later creation ticks match a serial run's.
-    fn retract_routed(&self, id: AnnotationId, at: Option<u64>) -> Result<ExecOutcome> {
-        let at = at.unwrap_or_else(|| self.router.alloc.lock().tick());
+    /// Applies one lifecycle event on every shard holding any version of
+    /// `id`, so each owner keeps the full identical timeline.
+    fn on_holders(&self, id: AnnotationId, event: AnnotationEvent) -> Result<ExecOutcome> {
         let (holders, _) = self.lifecycle_holders(id);
         if holders.is_empty() {
             return Err(Error::Annotation(format!("unknown annotation {id}")));
         }
-        self.on_shards(&holders, |db| db.retract_annotation_at(id, Some(at)))
+        self.on_shards(&holders, |db| db.annotate_one(event.clone()))
             .0
     }
 
-    /// Flags one annotation through the router.
+    /// `RETRACT ANNOTATION` through the router: every owner shard
+    /// tombstones its replica at one router-allocated tick and
+    /// decrementally removes the summary contribution. The tick is
+    /// consumed before validation — unknown ids included — exactly as
+    /// serial retraction consumes it, so later creation ticks match a
+    /// serial run's.
+    pub fn retract_annotation(&self, id: AnnotationId) -> Result<ExecOutcome> {
+        let tick = self.router.alloc.lock().tick();
+        self.on_holders(id, AnnotationEvent::Retract { id: id.raw(), tick })
+    }
+
+    /// `FLAG ANNOTATION` through the router, at a router-allocated tick
+    /// (consumed before validation, as in
+    /// [`ShardedDatabase::retract_annotation`]): every owner shard
+    /// appends the same flag event to its replica's timeline.
     pub fn flag_annotation(&self, id: AnnotationId, note: Option<String>) -> Result<ExecOutcome> {
-        self.flag_routed(id, note, None)
+        let tick = self.router.alloc.lock().tick();
+        self.on_holders(
+            id,
+            AnnotationEvent::Flag {
+                id: id.raw(),
+                tick,
+                note,
+            },
+        )
     }
 
-    /// `FLAG ANNOTATION` with a router-allocated tick (consumed before
-    /// validation, as in [`ShardedDatabase::retract_annotation`]): every
-    /// owner shard appends the same flag event to its replica's
-    /// timeline, keeping the replicas' histories identical.
-    fn flag_routed(
-        &self,
-        id: AnnotationId,
-        note: Option<String>,
-        at: Option<u64>,
-    ) -> Result<ExecOutcome> {
-        let at = at.unwrap_or_else(|| self.router.alloc.lock().tick());
-        let (holders, _) = self.lifecycle_holders(id);
-        if holders.is_empty() {
-            return Err(Error::Annotation(format!("unknown annotation {id}")));
-        }
-        self.on_shards(&holders, |db| {
-            db.flag_annotation_at(id, note.clone(), Some(at))
-        })
-        .0
-    }
-
-    /// Corrects one annotation through the router.
+    /// `CORRECT ANNOTATION` through the router: the successor's
+    /// `(id, tick)` is allocated **once** from the router's stamp
+    /// allocator and handed to every owner shard, so all replicas commit
+    /// a byte-identical replacement under one global identity. A
+    /// tombstoned predecessor fails before any identity is allocated, as
+    /// in serial execution. On a partial failure the successor replicas
+    /// that did commit get a best-effort compensating delete; a
+    /// predecessor left tombstoned on some owners and live on the failed
+    /// one is the same residual window as a partial multi-owner commit
+    /// (DESIGN.md §12) and is reconciled by the recovery-time membership
+    /// sweep.
     pub fn correct_annotation(
         &self,
         id: AnnotationId,
         text: String,
         document: Option<String>,
         author: Option<String>,
-    ) -> Result<ExecOutcome> {
-        self.correct_annotation_routed(id, text, document, author, None)
-    }
-
-    /// `CORRECT ANNOTATION` with router-level successor identity: the
-    /// successor's `(id, tick)` is allocated **once** from the router's
-    /// stamp allocator (unless the statement already carried an internal
-    /// `WITH ID … AT …` stamp — the replicated-replay path) and handed
-    /// to every owner shard, so all replicas commit a byte-identical
-    /// replacement under one global identity. A tombstoned predecessor
-    /// fails before any identity is allocated, as in serial execution.
-    /// On a partial failure the successor replicas that did commit get a
-    /// best-effort compensating delete; a predecessor left tombstoned on
-    /// some owners and live on the failed one is the same residual
-    /// window as a partial multi-owner commit (DESIGN.md §12) and is
-    /// reconciled by the recovery-time membership sweep.
-    fn correct_annotation_routed(
-        &self,
-        id: AnnotationId,
-        text: String,
-        document: Option<String>,
-        author: Option<String>,
-        stamp: Option<(u64, u64)>,
     ) -> Result<ExecOutcome> {
         let (holders, live) = self.lifecycle_holders(id);
         let Some(&first) = holders.first() else {
@@ -650,26 +613,31 @@ impl ShardedDatabase {
                 "annotation {id} is already {status}"
             )));
         }
-        let stamp = stamp.unwrap_or_else(|| self.router.alloc.lock().stamp());
-        let (result, ok_shards) = self.on_shards(&holders, |db| {
-            db.correct_annotation_stamped(id, text.clone(), document.clone(), author.clone(), stamp)
-        });
+        let (successor, tick) = self.router.alloc.lock().stamp();
+        let event = AnnotationEvent::Correct {
+            id: id.raw(),
+            successor,
+            tick,
+            text,
+            document,
+            author,
+        };
+        let (result, ok_shards) = self.on_shards(&holders, |db| db.annotate_one(event.clone()));
         if result.is_err() {
             // Converge the successor back to "not written" on the
             // owners that already committed it.
-            self.compensate_partial(AnnotationId::new(stamp.0), &ok_shards);
+            self.compensate_partial(AnnotationId::new(successor), &ok_shards);
         }
         result
     }
 
     /// Resolves and stamps a batch of `ADD ANNOTATION` statements under
-    /// **one** acquisition of the shard read guards — the sharded
-    /// equivalent of [`Database::annotate_batch_sql`]'s staging pass,
-    /// with identical per-item failure semantics (a failing item
-    /// consumes no id and no tick; `WHERE` predicates over summary
-    /// components observe the summary state as of batch start). The
-    /// server's sessions call this, then hand each owner shard's slice
-    /// to that shard's committer queue.
+    /// **one** acquisition of the shard read guards, with serial
+    /// per-item failure semantics (a failing item consumes no id and no
+    /// tick; `WHERE` predicates over summary components observe the
+    /// summary state as of batch start). The server's sessions call
+    /// this, then hand each owner shard's slice to that shard's
+    /// committer queue.
     pub fn prepare_sql_annotations(&self, stmts: &[SqlStatement]) -> Vec<Result<RoutedAnnotation>> {
         let stmts: Vec<&Statement> = stmts.iter().map(|s| &s.stmt).collect();
         self.prepare(&stmts)
@@ -759,7 +727,8 @@ impl ShardedDatabase {
         for (i, item, owners) in resolved {
             let (id, tick) = alloc.stamp();
             out[i] = Some(Ok(RoutedAnnotation {
-                stamped: StampedRowAnnotation { id, tick, item },
+                id: AnnotationId::new(id),
+                event: item.into_event(id, tick),
                 shards: owners,
             }));
         }
@@ -771,11 +740,12 @@ impl ShardedDatabase {
     }
 
     /// Applies a prepared batch: groups items per owner shard and
-    /// executes each shard's slice as one stamped batch under that
-    /// shard's write lock (one WAL record, one amortized maintenance
-    /// pass per shard). Multi-owner items report their first shard's
-    /// outcome, or any shard's failure — after the owners that did
-    /// store the replica are given a best-effort compensating delete
+    /// applies each shard's slice through one
+    /// [`Database::annotate_stamped`] call under that shard's write lock
+    /// (one WAL record, one amortized maintenance pass per shard).
+    /// Multi-owner items report their first shard's outcome, or any
+    /// shard's failure — after the owners that did store the replica
+    /// are given a best-effort compensating delete
     /// ([`ShardedDatabase::compensate_partial`]).
     pub fn apply_prepared(
         &self,
@@ -785,30 +755,30 @@ impl ShardedDatabase {
         results.resize_with(prepared.len(), || None);
         let mut ids: Vec<Option<AnnotationId>> = vec![None; results.len()];
         let mut ok_shards: Vec<Vec<usize>> = vec![Vec::new(); results.len()];
-        let mut per_shard: BTreeMap<usize, Vec<(usize, StampedRowAnnotation)>> = BTreeMap::new();
+        let mut per_shard: BTreeMap<usize, Vec<(usize, AnnotationEvent)>> = BTreeMap::new();
         for (i, p) in prepared.into_iter().enumerate() {
             match p {
                 Err(e) => results[i] = Some(Err(e)),
                 Ok(routed) => {
-                    ids[i] = Some(AnnotationId::new(routed.stamped.id));
+                    ids[i] = Some(routed.id);
                     // Every owner but the last gets a copy; the last
-                    // takes the item itself.
+                    // takes the event itself.
                     if let Some((&last, rest)) = routed.shards.split_last() {
                         for &k in rest {
                             per_shard
                                 .entry(k)
                                 .or_default()
-                                .push((i, routed.stamped.clone()));
+                                .push((i, routed.event.clone()));
                         }
-                        per_shard.entry(last).or_default().push((i, routed.stamped));
+                        per_shard.entry(last).or_default().push((i, routed.event));
                     }
                 }
             }
         }
         for (k, items) in per_shard {
             let indices: Vec<usize> = items.iter().map(|&(i, _)| i).collect();
-            let batch: Vec<StampedRowAnnotation> = items.into_iter().map(|(_, s)| s).collect();
-            let shard_results = self.shards[k].write().annotate_rows_batch_stamped(batch);
+            let batch: Vec<AnnotationEvent> = items.into_iter().map(|(_, e)| e).collect();
+            let shard_results = self.shards[k].write().annotate_stamped(batch);
             for (i, res) in indices.into_iter().zip(shard_results) {
                 if res.is_ok() {
                     ok_shards[i].push(k);
@@ -838,15 +808,15 @@ impl ShardedDatabase {
             .collect()
     }
 
-    /// Sharded [`Database::annotate_batch_sql`]: every item gets its
-    /// own result; a failing item does not abort the rest.
+    /// Ingests a batch of `ADD ANNOTATION` statements (prepare, then
+    /// apply): every item gets its own result; a failing item does not
+    /// abort the rest.
     pub fn annotate_batch_sql(&self, stmts: Vec<SqlStatement>) -> Vec<Result<ExecOutcome>> {
         let prepared = self.prepare_sql_annotations(&stmts);
         self.apply_prepared(prepared)
     }
 
-    /// Sharded [`Database::annotate_rows_batch`]: typed batch ingestion
-    /// with serial-equivalent stamp consumption — an unknown table
+    /// Typed batch ingestion with serial-equivalent stamp consumption — an unknown table
     /// consumes nothing; an empty target list (or empty column
     /// signature) consumes its tick but no id, exactly as serial
     /// staging does.
@@ -880,7 +850,8 @@ impl ShardedDatabase {
                 let owners = owner_set(tid, &item.rows, self.shards.len());
                 let (id, tick) = alloc.stamp();
                 prepared.push(Ok(RoutedAnnotation {
-                    stamped: StampedRowAnnotation { id, tick, item },
+                    id: AnnotationId::new(id),
+                    event: item.into_event(id, tick),
                     shards: owners,
                 }));
             }
@@ -958,7 +929,7 @@ impl ShardedDatabase {
     /// owns (a row of) each annotation. Cache I/O — the disk probe, and
     /// the re-offer after a miss — runs with *no* shard guard held
     /// (the same execute-under-guards, file-I/O-after-drop split as
-    /// [`ShardedDatabase::run_select_routed`]); only the miss path's
+    /// `ShardedDatabase::run_select_routed`); only the miss path's
     /// plan re-execution takes the read guards.
     pub fn zoom_in(&self, stmt: &ZoomInStmt) -> Result<ZoomInResult> {
         let router = &self.router;

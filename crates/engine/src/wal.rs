@@ -1,15 +1,23 @@
 //! Write-ahead log: the durability backbone behind `insightd`'s acks.
 //!
-//! The engine's write entry points append one **logical** record — the
-//! SQL source text of a script, the statement texts of one group-committed
-//! annotation batch, or a typed row-annotation batch — *before* executing
-//! it, and the server releases a client's acknowledgement only after the
-//! log has been fsynced (see [`SyncPolicy`]). Recovery
-//! ([`crate::db::Database::recover`]) loads the latest snapshot and
-//! re-executes the log tail through the very same execution paths, which
-//! makes the recovered state byte-identical to a serial replay: ids,
-//! logical-clock ticks, and cluster-vocabulary interning order all come
-//! out of the replayed execution, not out of the log.
+//! The engine's write entry points append one **logical** record *before*
+//! executing it, and the server releases a client's acknowledgement only
+//! after the log has been fsynced (see [`SyncPolicy`]). There are two
+//! record kinds ([`WalRecord`]):
+//!
+//! - `Script` — the SQL source text of a catalog or row write script
+//!   (DDL, `INSERT`, `DELETE FROM`, summary-registry changes);
+//! - `Stamped` — typed annotation events ([`AnnotationEvent`]: add,
+//!   retract, flag, correct, delete), each carrying the annotation ids
+//!   and logical-clock tick it was stamped with before logging.
+//!
+//! Recovery ([`crate::db::Database::recover`]) loads the latest snapshot
+//! and re-applies the log tail: scripts re-execute through
+//! [`crate::db::Database::execute_sql`], and event records go through
+//! the same apply function live writes use
+//! ([`crate::db::Database::annotate_stamped`]). Ids and ticks come out
+//! of the log, never out of a replay-time allocator, so the recovered
+//! state is byte-identical to the pre-crash one.
 //!
 //! ## File format
 //!
@@ -46,7 +54,10 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"INWL";
-const VERSION: u32 = 1;
+/// Log format version. Version 2 logs annotation writes only as typed
+/// [`WalRecord::Stamped`] events; older logs are refused by
+/// [`Wal::open`].
+const VERSION: u32 = 2;
 /// Fixed size of the log header (`"INWL" | u32 version | u64 epoch`).
 /// Record frames start at this file offset; replication offsets are
 /// file offsets, so a fresh subscription starts here.
@@ -117,108 +128,34 @@ impl std::fmt::Display for SyncPolicy {
     }
 }
 
-/// A typed row-annotation item, as logged by the
-/// [`crate::db::Database::annotate_rows`] family. The `created` tick is
-/// *not* logged: replay re-stages the item and the clock re-ticks
-/// deterministically.
+/// One group of an annotation's attachment points: rows of one table
+/// covering the same columns. An [`AnnotationEvent::Add`] carries a
+/// list of these, so a multi-table annotation is one event.
 #[derive(Debug, Clone, PartialEq)]
-pub struct WalRowAnnotation {
+pub struct TargetGroup {
     /// Target table name.
     pub table: String,
-    /// Explicit target row ids.
+    /// Target row ids.
     pub rows: Vec<u64>,
     /// Covered-column bitmask ([`insightnotes_annotations::ColSig`] bits).
     pub cols: u64,
-    /// Annotation text.
-    pub text: String,
-    /// Attached document, if any.
-    pub document: Option<String>,
-    /// Curator.
-    pub author: String,
 }
 
-impl Encodable for WalRowAnnotation {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.str(&self.table);
-        enc.seq(&self.rows, |e, r| e.varint(*r));
-        enc.u64(self.cols);
-        enc.str(&self.text);
-        enc.option(&self.document, |e, d| e.str(d));
-        enc.str(&self.author);
-    }
-
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        Ok(WalRowAnnotation {
-            table: dec.str()?,
-            rows: dec.seq(insightnotes_common::Decoder::varint)?,
-            cols: dec.u64()?,
-            text: dec.str()?,
-            document: dec.option(insightnotes_common::Decoder::str)?,
-            author: dec.str()?,
-        })
-    }
-}
-
-/// A row-annotation item carrying its router-assigned annotation id and
-/// logical-clock tick. The sharded engine allocates `(id, tick)` once at
-/// the router and replicates the stamped item to every owning shard's
-/// log, so each shard replays global ids without consulting the others.
+/// One annotation event, stamped with the ids and tick it applies
+/// under. Stamping happens once, before logging — at the shard router,
+/// or from the database's own store and clock when there is no router —
+/// so replay and replicas apply the same event verbatim and never
+/// allocate.
 #[derive(Debug, Clone, PartialEq)]
-pub struct WalStampedAnnotation {
-    /// Router-assigned annotation id.
-    pub id: u64,
-    /// Router-assigned logical-clock tick (the body's `created` stamp).
-    pub tick: u64,
-    /// The annotation payload and its targets.
-    pub item: WalRowAnnotation,
-}
-
-impl Encodable for WalStampedAnnotation {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.varint(self.id);
-        enc.varint(self.tick);
-        self.item.encode(enc);
-    }
-
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        Ok(WalStampedAnnotation {
-            id: dec.varint()?,
-            tick: dec.varint()?,
-            item: WalRowAnnotation::decode(dec)?,
-        })
-    }
-}
-
-/// One logical write, as replayed by recovery.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WalRecord {
-    /// A `;`-separated script ([`crate::db::Database::execute_sql`]
-    /// semantics: statements run in order, stopping at the first error).
-    Script {
-        /// The script's source text.
-        sql: String,
-    },
-    /// One group-committed annotation batch: the statement texts in
-    /// submission order, replayed through one
-    /// [`crate::db::Database::annotate_batch`] call so maintenance
-    /// grouping and per-item failure isolation match the original run.
-    Batch {
-        /// `ADD ANNOTATION` statement texts.
-        statements: Vec<String>,
-    },
-    /// A typed row-annotation batch
-    /// ([`crate::db::Database::annotate_rows_batch`]; singles log a batch
-    /// of one).
-    Rows {
-        /// The batch items in submission order.
-        items: Vec<WalRowAnnotation>,
-    },
-    /// One multi-target annotation
-    /// ([`crate::db::Database::annotate_targets`]); table ids are raw
-    /// catalog ids, deterministic across replay.
-    Targets {
-        /// `(table id, row id, column bits)` attachment points.
-        targets: Vec<(u32, u64, u64)>,
+pub enum AnnotationEvent {
+    /// `ADD ANNOTATION`: a new annotation `id` created at `tick`.
+    Add {
+        /// Annotation id.
+        id: u64,
+        /// Creation tick (the body's `created` stamp).
+        tick: u64,
+        /// Attachment points.
+        targets: Vec<TargetGroup>,
         /// Annotation text.
         text: String,
         /// Attached document, if any.
@@ -226,13 +163,157 @@ pub enum WalRecord {
         /// Curator.
         author: String,
     },
-    /// A pre-stamped row-annotation batch
-    /// ([`crate::db::Database::annotate_rows_batch_stamped`]): ids and
-    /// clock ticks were assigned by the shard router, so replay applies
-    /// them verbatim instead of re-allocating.
+    /// `RETRACT ANNOTATION`: tombstones `id` at `tick`.
+    Retract {
+        /// Annotation id.
+        id: u64,
+        /// Event tick.
+        tick: u64,
+    },
+    /// `FLAG ANNOTATION`: marks `id` as disputed at `tick`.
+    Flag {
+        /// Annotation id.
+        id: u64,
+        /// Event tick.
+        tick: u64,
+        /// Reviewer note, if any.
+        note: Option<String>,
+    },
+    /// `CORRECT ANNOTATION`: supersedes `id` by `successor`, created at
+    /// `tick` on the predecessor's targets.
+    Correct {
+        /// The superseded annotation id.
+        id: u64,
+        /// The replacement's id.
+        successor: u64,
+        /// Event tick (also the replacement's creation tick).
+        tick: u64,
+        /// Replacement text.
+        text: String,
+        /// Replacement document, if any.
+        document: Option<String>,
+        /// Replacement curator (`None` keeps the predecessor's).
+        author: Option<String>,
+    },
+    /// `DELETE ANNOTATION`: removes `id` with its timeline.
+    Delete {
+        /// Annotation id.
+        id: u64,
+    },
+}
+
+impl Encodable for AnnotationEvent {
+    fn encode(&self, enc: &mut Encoder) {
+        match self {
+            AnnotationEvent::Add {
+                id,
+                tick,
+                targets,
+                text,
+                document,
+                author,
+            } => {
+                enc.u8(1);
+                enc.varint(*id);
+                enc.varint(*tick);
+                enc.seq(targets, |e, g| {
+                    e.str(&g.table);
+                    e.seq(&g.rows, |e, r| e.varint(*r));
+                    e.u64(g.cols);
+                });
+                enc.str(text);
+                enc.option(document, |e, d| e.str(d));
+                enc.str(author);
+            }
+            AnnotationEvent::Retract { id, tick } => {
+                enc.u8(2);
+                enc.varint(*id);
+                enc.varint(*tick);
+            }
+            AnnotationEvent::Flag { id, tick, note } => {
+                enc.u8(3);
+                enc.varint(*id);
+                enc.varint(*tick);
+                enc.option(note, |e, n| e.str(n));
+            }
+            AnnotationEvent::Correct {
+                id,
+                successor,
+                tick,
+                text,
+                document,
+                author,
+            } => {
+                enc.u8(4);
+                enc.varint(*id);
+                enc.varint(*successor);
+                enc.varint(*tick);
+                enc.str(text);
+                enc.option(document, |e, d| e.str(d));
+                enc.option(author, |e, a| e.str(a));
+            }
+            AnnotationEvent::Delete { id } => {
+                enc.u8(5);
+                enc.varint(*id);
+            }
+        }
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
+        match dec.u8()? {
+            1 => Ok(AnnotationEvent::Add {
+                id: dec.varint()?,
+                tick: dec.varint()?,
+                targets: dec.seq(|d| {
+                    Ok(TargetGroup {
+                        table: d.str()?,
+                        rows: d.seq(Decoder::varint)?,
+                        cols: d.u64()?,
+                    })
+                })?,
+                text: dec.str()?,
+                document: dec.option(Decoder::str)?,
+                author: dec.str()?,
+            }),
+            2 => Ok(AnnotationEvent::Retract {
+                id: dec.varint()?,
+                tick: dec.varint()?,
+            }),
+            3 => Ok(AnnotationEvent::Flag {
+                id: dec.varint()?,
+                tick: dec.varint()?,
+                note: dec.option(Decoder::str)?,
+            }),
+            4 => Ok(AnnotationEvent::Correct {
+                id: dec.varint()?,
+                successor: dec.varint()?,
+                tick: dec.varint()?,
+                text: dec.str()?,
+                document: dec.option(Decoder::str)?,
+                author: dec.option(Decoder::str)?,
+            }),
+            5 => Ok(AnnotationEvent::Delete { id: dec.varint()? }),
+            tag => Err(Error::Codec(format!("unknown annotation event tag {tag}"))),
+        }
+    }
+}
+
+/// One logical write, as replayed by recovery.
+#[derive(Debug, Clone, PartialEq)]
+pub enum WalRecord {
+    /// A `;`-separated script of catalog and row writes
+    /// ([`crate::db::Database::execute_sql`] semantics: statements run in
+    /// order, stopping at the first error). Never holds annotation
+    /// statements: those are logged as [`WalRecord::Stamped`] events.
+    Script {
+        /// The script's source text.
+        sql: String,
+    },
+    /// Stamped annotation events, applied in order by
+    /// [`crate::db::Database::annotate_stamped`].
     Stamped {
-        /// The stamped batch items in submission order.
-        items: Vec<WalStampedAnnotation>,
+        /// The events in submission order.
+        events: Vec<AnnotationEvent>,
     },
 }
 
@@ -243,33 +324,9 @@ impl Encodable for WalRecord {
                 enc.u8(1);
                 enc.str(sql);
             }
-            WalRecord::Batch { statements } => {
+            WalRecord::Stamped { events } => {
                 enc.u8(2);
-                enc.seq(statements, |e, s| e.str(s));
-            }
-            WalRecord::Rows { items } => {
-                enc.u8(3);
-                enc.seq(items, |e, i| i.encode(e));
-            }
-            WalRecord::Targets {
-                targets,
-                text,
-                document,
-                author,
-            } => {
-                enc.u8(4);
-                enc.seq(targets, |e, (t, r, c)| {
-                    e.u32(*t);
-                    e.varint(*r);
-                    e.u64(*c);
-                });
-                enc.str(text);
-                enc.option(document, |e, d| e.str(d));
-                enc.str(author);
-            }
-            WalRecord::Stamped { items } => {
-                enc.u8(5);
-                enc.seq(items, |e, i| i.encode(e));
+                enc.seq(events, |e, ev| ev.encode(e));
             }
         }
     }
@@ -277,20 +334,8 @@ impl Encodable for WalRecord {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         match dec.u8()? {
             1 => Ok(WalRecord::Script { sql: dec.str()? }),
-            2 => Ok(WalRecord::Batch {
-                statements: dec.seq(insightnotes_common::Decoder::str)?,
-            }),
-            3 => Ok(WalRecord::Rows {
-                items: dec.seq(WalRowAnnotation::decode)?,
-            }),
-            4 => Ok(WalRecord::Targets {
-                targets: dec.seq(|d| Ok((d.u32()?, d.varint()?, d.u64()?)))?,
-                text: dec.str()?,
-                document: dec.option(insightnotes_common::Decoder::str)?,
-                author: dec.str()?,
-            }),
-            5 => Ok(WalRecord::Stamped {
-                items: dec.seq(WalStampedAnnotation::decode)?,
+            2 => Ok(WalRecord::Stamped {
+                events: dec.seq(AnnotationEvent::decode)?,
             }),
             tag => Err(Error::Codec(format!("unknown WAL record tag {tag}"))),
         }
@@ -698,27 +743,49 @@ mod tests {
             WalRecord::Script {
                 sql: "CREATE TABLE t (a INT); INSERT INTO t VALUES (1)".into(),
             },
-            WalRecord::Batch {
-                statements: vec![
-                    "ADD ANNOTATION 'x' ON t".into(),
-                    "ADD ANNOTATION 'y' ON t WHERE a = 1".into(),
+            WalRecord::Stamped {
+                events: vec![
+                    AnnotationEvent::Add {
+                        id: 1,
+                        tick: 2,
+                        targets: vec![
+                            TargetGroup {
+                                table: "t".into(),
+                                rows: vec![1, 2],
+                                cols: 0b11,
+                            },
+                            TargetGroup {
+                                table: "u".into(),
+                                rows: vec![7],
+                                cols: 0b10,
+                            },
+                        ],
+                        text: "typed".into(),
+                        document: Some("doc".into()),
+                        author: "ada".into(),
+                    },
+                    AnnotationEvent::Flag {
+                        id: 1,
+                        tick: 3,
+                        note: Some("dubious".into()),
+                    },
                 ],
             },
-            WalRecord::Rows {
-                items: vec![WalRowAnnotation {
-                    table: "t".into(),
-                    rows: vec![1, 2],
-                    cols: 0b11,
-                    text: "typed".into(),
-                    document: Some("doc".into()),
-                    author: "ada".into(),
-                }],
+            WalRecord::Stamped {
+                events: vec![
+                    AnnotationEvent::Correct {
+                        id: 1,
+                        successor: 2,
+                        tick: 4,
+                        text: "fixed".into(),
+                        document: None,
+                        author: None,
+                    },
+                    AnnotationEvent::Retract { id: 2, tick: 5 },
+                ],
             },
-            WalRecord::Targets {
-                targets: vec![(1, 1, 0b1), (2, 7, 0b10)],
-                text: "spans tables".into(),
-                document: None,
-                author: "brahe".into(),
+            WalRecord::Stamped {
+                events: vec![AnnotationEvent::Delete { id: 2 }],
             },
         ]
     }

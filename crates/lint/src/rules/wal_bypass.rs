@@ -26,8 +26,8 @@ use std::collections::BTreeSet;
 /// WAL-logged entry points (callable from anywhere).
 const ENTRY_POINTS: [&str; 4] = ["execute", "execute_sql", "recover", "checkpoint"];
 
-/// Prefix covering the ingest family (`annotate_batch`,
-/// `annotate_rows_batch`, `annotate_targets`, …), all of which log.
+/// Prefix covering the annotation family (`annotate_stamped`,
+/// `annotate_rows`, `annotate_targets`, …), all of which log.
 const ENTRY_PREFIX: &str = "annotate";
 
 pub(crate) struct WalBypass;

@@ -22,11 +22,13 @@
 //!   streamed snapshot when it has no usable local state, mirrors the
 //!   shipped frame bytes into a local log segment (durable *before*
 //!   apply), and replays each record through
-//!   [`Database::apply_wal_record`] — the same front-door replay
-//!   recovery uses, so ids, logical-clock ticks, and cluster-vocabulary
-//!   interning reproduce byte-identically. After `kill -9`, the replica
-//!   recovers from its own snapshot + mirrored log and resubscribes at
-//!   its last applied offset.
+//!   [`Database::apply_wal_record`] — the replay recovery runs: a
+//!   `Script` record re-executes, and a `Stamped` record's typed events
+//!   go through [`Database::annotate_stamped`], the apply function the
+//!   primary's committers use. Ids and ticks travel inside the events,
+//!   so the replica's state is byte-identical to the primary's. After
+//!   `kill -9`, the replica recovers from its own snapshot + mirrored
+//!   log and resubscribes at its last applied offset.
 //! - **Positions** ([`position::PositionTable`]): the applied
 //!   epoch/offset vector a replica server exposes through
 //!   [`Request::ReplicaState`], which is what
@@ -36,6 +38,7 @@
 //! [`Request::ReplicaState`]: insightnotes_common::wire::Request::ReplicaState
 //! [`Wal::committed_len`]: insightnotes_engine::wal::Wal::committed_len
 //! [`Database::apply_wal_record`]: insightnotes_engine::Database::apply_wal_record
+//! [`Database::annotate_stamped`]: insightnotes_engine::Database::annotate_stamped
 
 pub mod feed;
 pub mod position;

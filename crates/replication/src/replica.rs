@@ -247,7 +247,7 @@ fn try_recover_shard(sdir: &Path, expect_shards: usize) -> Result<Option<LocalSh
     // lint:allow(wal-bypass) — replica-side replay: durability lives in
     // the mirrored log these records were decoded from, not in re-logging.
     db.install_replica_state(&snapshot)?;
-    for record in &scan.records {
+    for record in scan.records {
         // lint:allow(wal-bypass) — same: replaying the mirrored log.
         db.apply_wal_record(record)?;
     }
@@ -635,7 +635,7 @@ fn apply_frame(
         };
         // lint:allow(wal-bypass) — the frame was appended and fsynced to
         // the local mirror before this apply; a crash here replays it.
-        guard.apply_wal_record(&record)?;
+        guard.apply_wal_record(record)?;
         cursor += used;
     }
     Ok(())

@@ -38,9 +38,10 @@
 //! shard's slice to that shard's queue — all sends before any reply
 //! wait, so disjoint shards group-commit **in parallel**. Each committer
 //! drains whatever has accumulated into one
-//! [`Database::annotate_rows_batch_stamped`] call — one exclusive-lock
-//! acquisition per *group* of concurrent writers instead of one per
-//! annotation. Per-statement results fan back out to the waiting
+//! [`Database::annotate_stamped`] call — the engine's one apply
+//! function, which also serves WAL replay and replica apply — so one
+//! exclusive-lock acquisition and one log record cover a *group* of
+//! concurrent writers instead of one per annotation. Per-statement results fan back out to the waiting
 //! sessions (partial failure allowed within a batch). Every queue drains
 //! fully on graceful shutdown: every enqueued writer still receives its
 //! reply.
@@ -107,7 +108,7 @@ use insightnotes_common::wire::{
 };
 use insightnotes_common::{AnnotationId, Error, Result};
 use insightnotes_engine::db::{ExecOutcome, QueryResult, SqlStatement, ZoomInResult};
-use insightnotes_engine::{Database, LifecycleKind, ShardedDatabase, StampedRowAnnotation};
+use insightnotes_engine::{AnnotationEvent, Database, LifecycleKind, ShardedDatabase};
 use insightnotes_replication::feed::{self, FeedStart};
 use insightnotes_replication::PositionTable;
 use insightnotes_sql::{parse, Statement, StatementClass};
@@ -458,7 +459,7 @@ type CommitReply = Box<dyn FnOnce(Vec<BatchItem>) + Send>;
 /// the router, every one owned by this queue's shard — plus its
 /// completion callback.
 struct CommitJob {
-    items: Vec<StampedRowAnnotation>,
+    items: Vec<AnnotationEvent>,
     reply: CommitReply,
 }
 
@@ -487,7 +488,7 @@ impl CommitQueues {
     /// caller's view: if the queue is closed (shutdown) or the shard is
     /// unknown, `reply` is invoked immediately with per-item errors —
     /// every submitted reply runs exactly once, always.
-    fn submit(&self, shard: usize, items: Vec<StampedRowAnnotation>, reply: CommitReply) {
+    fn submit(&self, shard: usize, items: Vec<AnnotationEvent>, reply: CommitReply) {
         let n = items.len();
         let tx = self.txs.lock().get(shard).cloned();
         let job = CommitJob { items, reply };
@@ -539,8 +540,9 @@ fn batch_item(r: Result<ExecOutcome>, sync_err: Option<&Error>) -> BatchItem {
 /// One shard's dedicated committer thread: each wake-up drains every
 /// job that has accumulated in its queue (capped at
 /// [`wire::MAX_BATCH_ITEMS`] items per group) and ingests the combined
-/// lists through **one** exclusive-lock acquisition on its shard
-/// ([`Database::annotate_rows_batch_stamped`]), then fsyncs that
+/// event lists through **one** exclusive-lock acquisition on its shard
+/// ([`Database::annotate_stamped`]: one `Stamped` log record, one
+/// amortized maintenance pass), then fsyncs that
 /// shard's WAL segment (the group-commit point;
 /// readers may proceed during the fsync, which only needs the shared
 /// lock) and fans the per-item results back to the waiting sessions. A
@@ -597,7 +599,7 @@ fn run_committer(
             continue;
         }
         let handle = db.shard(shard);
-        let results = handle.write().annotate_rows_batch_stamped(group);
+        let results = handle.write().annotate_stamped(group);
         // Group-commit fsync *after* releasing the exclusive lock (sync
         // only needs `&self`), *before* releasing any reply.
         let sync_err = handle.read().wal_sync().err();
@@ -645,7 +647,7 @@ fn submit_annotations_async(
     let mut slots: Vec<Option<BatchItem>> = Vec::new();
     slots.resize_with(prepared.len(), || None);
     let mut ids: Vec<Option<AnnotationId>> = vec![None; slots.len()];
-    let mut per_shard: BTreeMap<usize, (Vec<usize>, Vec<StampedRowAnnotation>)> = BTreeMap::new();
+    let mut per_shard: BTreeMap<usize, (Vec<usize>, Vec<AnnotationEvent>)> = BTreeMap::new();
     for (i, p) in prepared.into_iter().enumerate() {
         match p {
             Err(e) => {
@@ -655,12 +657,12 @@ fn submit_annotations_async(
             }
             Ok(routed) => {
                 if let Some(id) = ids.get_mut(i) {
-                    *id = Some(AnnotationId::new(routed.stamped.id));
+                    *id = Some(routed.id);
                 }
                 for &k in &routed.shards {
                     let (indices, batch) = per_shard.entry(k).or_default();
                     indices.push(i);
-                    batch.push(routed.stamped.clone());
+                    batch.push(routed.event.clone());
                 }
             }
         }

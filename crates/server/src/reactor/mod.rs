@@ -2,18 +2,18 @@
 //! reactor replacing thread-per-connection.
 //!
 //! Layout:
-//! - [`epoll`] — the SAFETY-documented syscall shim (epoll, eventfd,
+//! - `epoll` — the SAFETY-documented syscall shim (epoll, eventfd,
 //!   `RLIMIT_NOFILE`). The only `unsafe` in the reactor lives here.
-//! - [`conn`] — per-connection state machine: frame reassembly,
+//! - `conn` — per-connection state machine: frame reassembly,
 //!   oversized-frame recovery, buffered writes with backpressure
 //!   accounting, progress-based deadline state.
-//! - [`timer`] — coarse hashed wheel enforcing deadlines that
+//! - `timer` — coarse hashed wheel enforcing deadlines that
 //!   `set_read_timeout`/`set_write_timeout` silently stopped providing
 //!   the moment sockets went nonblocking.
-//! - [`event_loop`] — the worker: readiness dispatch, pipelined request
+//! - `event_loop` — the worker: readiness dispatch, pipelined request
 //!   handling, parked-request retry, shutdown drain.
 //!
-//! [`Reactor`] glues it together: N workers (one epoll set + one thread
+//! `Reactor` glues it together: N workers (one epoll set + one thread
 //! each), round-robin connection placement from the accept loop, and an
 //! eventfd per worker so off-loop producers (committers, replica
 //! feeders) can hand results back without the loop polling for them.

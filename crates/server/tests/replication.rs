@@ -13,6 +13,7 @@
 use insightnotes_client::Client;
 use insightnotes_common::wire::ShardPosition;
 use insightnotes_common::Error;
+use insightnotes_engine::wal::Wal;
 use insightnotes_engine::{DbConfig, ShardedDatabase, SyncPolicy};
 use insightnotes_replication::replica::{ReplicaConfig, Replicator};
 use insightnotes_replication::PositionTable;
@@ -176,6 +177,60 @@ fn replica_converges_byte_identically_single_shard() {
 fn replica_converges_byte_identically_four_shards() {
     for seed in [0xC0FFEE, 0xD00D] {
         converge_round(4, 4, 3, seed);
+    }
+}
+
+/// A replica's mirrored log whose header says format version 1 is
+/// refused like any other unusable local state: the restarted replica
+/// does not resume from it, bootstraps afresh from the primary, and
+/// still converges byte-identically.
+#[test]
+fn replica_refuses_a_version_one_mirrored_log() {
+    const SHARDS: usize = 2;
+    let dir = scratch("v1-mirror");
+    let config = DbConfig {
+        wal_dir: Some(dir.join("wal")),
+        wal_sync: SyncPolicy::Batch,
+        ..DbConfig::default()
+    };
+    let (db, _) = ShardedDatabase::recover(None, config.clone(), SHARDS).expect("primary recover");
+    let primary = serve(db, ServerConfig::default());
+    let mut pc = primary.client();
+    pc.execute(SCHEMA).expect("schema");
+    let batch = (1..=9).map(|r| annotation_sql("mirrored", r)).collect();
+    for item in pc.annotate_batch(batch).expect("batch frame") {
+        item.expect("acked");
+    }
+    let target = pc.replica_state().expect("primary positions");
+    let replica = ReplicaConfig::new(primary.addr.to_string(), dir.join("replica"));
+    {
+        let boot = Replicator::start(&replica).expect("replica start");
+        wait_applied(&boot.replicator.positions(), &target);
+    }
+    for k in 0..SHARDS {
+        let mirror = dir.join("replica").join(format!("shard-{k}")).join("wal");
+        let log = Wal::path_in(&mirror);
+        let mut bytes = std::fs::read(&log).expect("mirrored log");
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&log, bytes).expect("rewrite header");
+        let err = Wal::open(&mirror, SyncPolicy::Batch).expect_err("version-1 log opened");
+        assert_eq!(err.class(), "codec", "{err}");
+    }
+    let boot = Replicator::start(&replica).expect("replica restart");
+    assert!(
+        boot.resumed.iter().all(|r| !r),
+        "a version-1 mirrored log was resumed from"
+    );
+    wait_applied(&boot.replicator.positions(), &target);
+    drop(boot.replicator);
+    drop(primary);
+    let (disk, _) = ShardedDatabase::recover(None, config, SHARDS).expect("disk recover");
+    for k in 0..SHARDS {
+        assert_eq!(
+            disk.shard(k).read().snapshot_bytes(),
+            boot.db.shard(k).read().snapshot_bytes(),
+            "shard {k} diverged after re-bootstrap"
+        );
     }
 }
 

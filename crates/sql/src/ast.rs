@@ -344,22 +344,15 @@ pub enum Statement {
     },
     /// `RETRACT ANNOTATION n` — tombstones one annotation: its effect is
     /// decrementally removed from every summary it contributed to, but the
-    /// version itself is retained for `HISTORY` / `AS OF` replay. The
-    /// optional `AT tick` suffix is internal: the shard router
-    /// pre-allocates the event tick so every owner shard records the same
-    /// one.
+    /// version itself is retained for `HISTORY` / `AS OF` replay.
     RetractAnnotation {
         /// The annotation id.
         id: u64,
-        /// Internal pre-allocated event tick.
-        at: Option<u64>,
     },
     /// `CORRECT ANNOTATION n 'text' [DOCUMENT 'd'] [AUTHOR 'a']` — a
     /// correction supersedes its predecessor: the old version becomes a
     /// tombstone linked to the replacement, which inherits the
-    /// predecessor's targets. The optional `WITH ID n AT tick` suffix is
-    /// internal: the shard router pre-allocates the successor stamp so
-    /// every owner shard commits an identical replacement.
+    /// predecessor's targets.
     CorrectAnnotation {
         /// The superseded annotation id.
         id: u64,
@@ -369,19 +362,14 @@ pub enum Statement {
         document: Option<String>,
         /// Replacement curator (defaults to the predecessor's author).
         author: Option<String>,
-        /// Internal `(successor id, creation tick)` pre-allocation.
-        stamp: Option<(u64, u64)>,
     },
     /// `FLAG ANNOTATION n ['reason']` — marks an annotation as disputed
-    /// without removing its summary contribution. The optional `AT tick`
-    /// suffix is internal, as for `RETRACT`.
+    /// without removing its summary contribution.
     FlagAnnotation {
         /// The annotation id.
         id: u64,
         /// Optional reviewer note.
         note: Option<String>,
-        /// Internal pre-allocated event tick.
-        at: Option<u64>,
     },
     /// `HISTORY n` — replays one annotation's lifecycle timeline.
     HistoryAnnotation {

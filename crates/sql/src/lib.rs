@@ -34,37 +34,4 @@ pub mod parser;
 
 pub use ast::*;
 pub use lexer::{Lexer, Token, TokenKind};
-pub use parser::{parse, parse_one};
-
-/// Renders `s` as a SQL single-quoted string literal, doubling embedded
-/// quotes — the inverse of the lexer's `''` unescaping. Engine code uses
-/// this to render lossless statement text for the write-ahead log.
-pub fn quote_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('\'');
-    for ch in s.chars() {
-        if ch == '\'' {
-            out.push('\'');
-        }
-        out.push(ch);
-    }
-    out.push('\'');
-    out
-}
-
-#[cfg(test)]
-mod quote_tests {
-    use super::*;
-
-    #[test]
-    fn quote_str_round_trips_through_the_lexer() {
-        for s in ["plain", "it's", "''", "", "héllo 'quoted'"] {
-            let sql = format!("ADD ANNOTATION {} ON t", quote_str(s));
-            let stmt = parse_one(&sql).unwrap();
-            let Statement::AddAnnotation { text, .. } = stmt else {
-                panic!()
-            };
-            assert_eq!(text, s);
-        }
-    }
-}
+pub use parser::{parse, parse_one, parse_spanned};

@@ -6,9 +6,18 @@
 use crate::ast::*;
 use crate::lexer::{Lexer, Token, TokenKind};
 use insightnotes_common::{Error, Result};
+use std::ops::Range;
 
 /// Parses a string of `;`-separated statements.
 pub fn parse(src: &str) -> Result<Vec<Statement>> {
+    Ok(parse_spanned(src)?.into_iter().map(|(s, _)| s).collect())
+}
+
+/// [`parse`], with each statement's byte span in `src`: from its first
+/// token up to the `;` or end of input that closes it. A slice from one
+/// statement's span start to a later one's span end is itself a valid
+/// script of the statements in between.
+pub fn parse_spanned(src: &str) -> Result<Vec<(Statement, Range<usize>)>> {
     let tokens = Lexer::new(src).tokenize()?;
     let mut p = Parser { tokens, pos: 0 };
     let mut out = Vec::new();
@@ -17,10 +26,12 @@ pub fn parse(src: &str) -> Result<Vec<Statement>> {
         if p.at_eof() {
             return Ok(out);
         }
-        out.push(p.statement()?);
+        let start = p.peek().offset;
+        let stmt = p.statement()?;
         if !p.at_eof() && !p.check(&TokenKind::Semicolon) {
             return Err(p.unexpected("`;` or end of input"));
         }
+        out.push((stmt, start..p.peek().offset));
     }
 }
 
@@ -234,9 +245,7 @@ impl Parser {
         }
         if self.eat_kw("retract") {
             self.expect_kw("annotation")?;
-            let id = self.uint()?;
-            let at = self.at_suffix()?;
-            return Ok(Statement::RetractAnnotation { id, at });
+            return Ok(Statement::RetractAnnotation { id: self.uint()? });
         }
         if self.eat_kw("correct") {
             self.expect_kw("annotation")?;
@@ -250,8 +259,7 @@ impl Parser {
             } else {
                 None
             };
-            let at = self.at_suffix()?;
-            return Ok(Statement::FlagAnnotation { id, note, at });
+            return Ok(Statement::FlagAnnotation { id, note });
         }
         if self.eat_kw("history") {
             // The `ANNOTATION` keyword is optional: `HISTORY 7` works.
@@ -259,17 +267,6 @@ impl Parser {
             return Ok(Statement::HistoryAnnotation { id: self.uint()? });
         }
         Err(self.unexpected("a statement keyword"))
-    }
-
-    /// Internal `AT tick` suffix of `RETRACT` / `FLAG ANNOTATION`: the
-    /// shard router pre-allocates the event tick so every owner shard
-    /// records the same one.
-    fn at_suffix(&mut self) -> Result<Option<u64>> {
-        if self.eat_kw("at") {
-            Ok(Some(self.uint()?))
-        } else {
-            Ok(None)
-        }
     }
 
     fn correct_annotation_stmt(&mut self) -> Result<Statement> {
@@ -285,23 +282,11 @@ impl Parser {
         } else {
             None
         };
-        // Internal clause: the shard router pre-allocates the successor's
-        // (id, tick) stamp so every owner shard commits identical bytes.
-        let stamp = if self.eat_kw("with") {
-            self.expect_kw("id")?;
-            let successor = self.uint()?;
-            self.expect_kw("at")?;
-            let tick = self.uint()?;
-            Some((successor, tick))
-        } else {
-            None
-        };
         Ok(Statement::CorrectAnnotation {
             id,
             text,
             document,
             author,
-            stamp,
         })
     }
 
@@ -1194,31 +1179,18 @@ mod tests {
     fn parses_lifecycle_statements() {
         assert!(matches!(
             parse_one("RETRACT ANNOTATION 7").unwrap(),
-            Statement::RetractAnnotation { id: 7, at: None }
-        ));
-        assert!(matches!(
-            parse_one("RETRACT ANNOTATION 7 AT 12").unwrap(),
-            Statement::RetractAnnotation {
-                id: 7,
-                at: Some(12)
-            }
+            Statement::RetractAnnotation { id: 7 }
         ));
         assert!(matches!(
             parse_one("FLAG ANNOTATION 3").unwrap(),
-            Statement::FlagAnnotation {
-                id: 3,
-                note: None,
-                at: None
-            }
+            Statement::FlagAnnotation { id: 3, note: None }
         ));
-        let stmt = parse_one("FLAG ANNOTATION 3 'dubious source' AT 8").unwrap();
-        let Statement::FlagAnnotation { id, note, at } = stmt else {
+        let stmt = parse_one("FLAG ANNOTATION 3 'dubious source'").unwrap();
+        let Statement::FlagAnnotation { id, note } = stmt else {
             panic!()
         };
         assert_eq!(id, 3);
         assert_eq!(note.as_deref(), Some("dubious source"));
-        assert_eq!(at, Some(8));
-        assert!(parse_one("RETRACT ANNOTATION 7 AT").is_err());
         assert!(matches!(
             parse_one("HISTORY 9").unwrap(),
             Statement::HistoryAnnotation { id: 9 }
@@ -1231,8 +1203,23 @@ mod tests {
         assert!(parse_one("FLAG ANNOTATION").is_err());
     }
 
+    /// Event stamps are allocated by the engine, never read from a
+    /// client: a statement that tries to carry one does not parse.
     #[test]
-    fn parses_correct_annotation_with_and_without_stamp() {
+    fn lifecycle_statements_reject_stamp_suffixes() {
+        for sql in [
+            "RETRACT ANNOTATION 3 AT 1",
+            "FLAG ANNOTATION 3 'x' AT 1",
+            "FLAG ANNOTATION 3 AT 1",
+            "CORRECT ANNOTATION 1 'x' WITH ID 5 AT 2",
+            "CORRECT ANNOTATION 1 'x' AUTHOR 'a' WITH ID 5 AT 2",
+        ] {
+            assert!(parse_one(sql).is_err(), "{sql} parsed");
+        }
+    }
+
+    #[test]
+    fn parses_correct_annotation() {
         let stmt =
             parse_one("CORRECT ANNOTATION 4 'fixed text' DOCUMENT 'doc' AUTHOR 'bob'").unwrap();
         let Statement::CorrectAnnotation {
@@ -1240,7 +1227,6 @@ mod tests {
             text,
             document,
             author,
-            stamp,
         } = stmt
         else {
             panic!()
@@ -1249,15 +1235,7 @@ mod tests {
         assert_eq!(text, "fixed text");
         assert_eq!(document.as_deref(), Some("doc"));
         assert_eq!(author.as_deref(), Some("bob"));
-        assert_eq!(stamp, None);
-
-        let stmt = parse_one("CORRECT ANNOTATION 4 'fixed' WITH ID 12 AT 99").unwrap();
-        let Statement::CorrectAnnotation { stamp, .. } = stmt else {
-            panic!()
-        };
-        assert_eq!(stamp, Some((12, 99)));
         assert!(parse_one("CORRECT ANNOTATION 4").is_err());
-        assert!(parse_one("CORRECT ANNOTATION 4 'x' WITH ID 12").is_err());
     }
 
     #[test]
@@ -1281,6 +1259,24 @@ mod tests {
         };
         assert_eq!(sel.as_of, None);
         assert!(parse_one("SELECT * FROM birds AS OF").is_err());
+    }
+
+    #[test]
+    fn statement_spans_slice_the_source() {
+        let src = "INSERT INTO t VALUES (1);  SELECT a FROM t ;; DELETE FROM t";
+        let spans: Vec<&str> = parse_spanned(src)
+            .unwrap()
+            .into_iter()
+            .map(|(_, span)| src[span].trim_end())
+            .collect();
+        assert_eq!(
+            spans,
+            [
+                "INSERT INTO t VALUES (1)",
+                "SELECT a FROM t",
+                "DELETE FROM t"
+            ]
+        );
     }
 
     #[test]

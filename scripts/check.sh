@@ -16,11 +16,14 @@
 #                                 a HARD gate: any non-baselined finding
 #                                 fails the run
 #   7. cargo clippy -D warnings — style lints over all targets
-#   8. benchmark --all --quick  — every benchmark workload end to end
+#   8. cargo doc -D warnings    — rustdoc over the workspace: broken
+#                                 intra-doc links (say, to a deleted
+#                                 method) fail the run
+#   9. benchmark --all --quick  — every benchmark workload end to end
 #                                 (the embedded one-shard ones included),
 #                                 failing on any output digest or
 #                                 crash-recovery check
-#   9. insightd smoke tests     — end-to-end wire-protocol round-trip,
+#  10. insightd smoke tests     — end-to-end wire-protocol round-trip,
 #                                 then kill -9 crash recovery at one
 #                                 shard and at four (--shards 1 / 4),
 #                                 then an annotation-lifecycle
@@ -71,6 +74,9 @@ cargo run -q -p lint --
 
 echo "==> cargo clippy --workspace --all-targets --all-features -- -D warnings"
 cargo clippy --workspace --all-targets --all-features -- -D warnings
+
+echo "==> cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> benchmark --all --quick"
 # Exits non-zero on any failed result digest or crash-recovery check.

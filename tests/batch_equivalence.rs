@@ -1,6 +1,7 @@
-//! Property tests for batched annotation ingestion: `annotate_batch`
-//! (SQL path) and `annotate_rows_batch` (typed path) must be observably
-//! identical to replaying the same annotations one at a time — the same
+//! Property tests for batched annotation ingestion through the router:
+//! `annotate_batch_sql` (SQL path) and `annotate_rows_batch` (typed
+//! path) must be observably identical to replaying the same annotations
+//! one at a time on a bare database — the same
 //! per-item success/failure pattern, the same per-item maintenance
 //! stats attribution, the same summary objects, and
 //! byte-identical snapshots. Snapshot bytes pin annotation ids and the
@@ -76,16 +77,21 @@ fn snapshot_bytes(db: &Database) -> Vec<u8> {
     snapshot(db.catalog(), db.store(), db.registry())
 }
 
+/// The single shard's snapshot bytes of a one-shard router.
+fn shard_snapshot_bytes(db: &ShardedDatabase) -> Vec<u8> {
+    snapshot_bytes(&db.shard(0).read())
+}
+
+const CLOCK_PROBE: &str = "ADD ANNOTATION 'clock probe' AUTHOR 'probe' ON t WHERE p = 1";
+
 /// After comparing end states, both databases absorb one more
 /// annotation and the snapshots are compared again: if the batch path
 /// advanced the logical clock differently (e.g. ticked for a failed
 /// item), the divergence surfaces in this probe's `created` stamp even
 /// though the pre-probe snapshots agreed.
-fn clock_probe(a: &mut Database, b: &mut Database) {
-    for db in [a, b] {
-        db.execute_sql("ADD ANNOTATION 'clock probe' AUTHOR 'probe' ON t WHERE p = 1")
-            .unwrap();
-    }
+fn clock_probe(batched: &ShardedDatabase, serial: &mut Database) {
+    batched.execute_sql(CLOCK_PROBE).unwrap();
+    serial.execute_sql(CLOCK_PROBE).unwrap();
 }
 
 // -- SQL path -------------------------------------------------------------
@@ -192,12 +198,8 @@ fn replay_serial(db: &mut Database, items: &[Item]) -> Vec<Result<MaintenanceSta
         .collect()
 }
 
-fn run_batch(db: &mut Database, items: &[Item]) -> Vec<Result<MaintenanceStats, String>> {
-    let stmts = items
-        .iter()
-        .map(|i| parse_one(&sql_of(i)).expect("generated SQL parses"))
-        .collect();
-    db.annotate_batch(stmts)
+fn run_batch(db: &ShardedDatabase, items: &[Item]) -> Vec<Result<MaintenanceStats, String>> {
+    db.annotate_batch_sql(items.iter().map(item_stmt).collect())
         .into_iter()
         .map(|r| {
             r.map(|outcome| stats_of(std::slice::from_ref(&outcome)))
@@ -244,6 +246,8 @@ fn row_annotation(item: &TypedItem) -> RowAnnotation {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
+    /// One shard, both maintenance modes: per-item stats attribution and
+    /// snapshot bytes against one-at-a-time serial execution.
     #[test]
     fn sql_batch_matches_serial_replay(
         items in prop::collection::vec(item_strategy(), 1..40),
@@ -251,9 +255,9 @@ proptest! {
         // Both maintenance modes take distinct paths through
         // `batch_refresh`; the equivalence must hold in each.
         for mode in [MaintenanceMode::Incremental, MaintenanceMode::Rebuild] {
-            let mut batched = fresh_db(mode);
+            let batched = fresh_sharded_in(1, mode);
             let mut serial = fresh_db(mode);
-            let batch_results = run_batch(&mut batched, &items);
+            let batch_results = run_batch(&batched, &items);
             let serial_results = replay_serial(&mut serial, &items);
             prop_assert_eq!(batch_results.len(), items.len());
             for (i, (b, s)) in batch_results.iter().zip(&serial_results).enumerate() {
@@ -271,26 +275,28 @@ proptest! {
                     ),
                 }
             }
-            prop_assert_eq!(all_objects(&batched), all_objects(&serial));
+            prop_assert_eq!(all_objects(&batched.shard(0).read()), all_objects(&serial));
             prop_assert_eq!(
-                snapshot_bytes(&batched),
+                shard_snapshot_bytes(&batched),
                 snapshot_bytes(&serial),
                 "snapshot bytes diverged"
             );
-            clock_probe(&mut batched, &mut serial);
+            clock_probe(&batched, &mut serial);
             prop_assert_eq!(
-                snapshot_bytes(&batched),
+                shard_snapshot_bytes(&batched),
                 snapshot_bytes(&serial),
                 "logical clocks diverged"
             );
         }
     }
 
+    /// One shard: typed batch ids, errors and snapshot bytes against
+    /// one-at-a-time typed ingestion.
     #[test]
     fn typed_batch_matches_serial_replay(
         items in prop::collection::vec(typed_strategy(), 1..40),
     ) {
-        let mut batched = fresh_db(MaintenanceMode::Incremental);
+        let batched = fresh_sharded(1);
         let mut serial = fresh_db(MaintenanceMode::Incremental);
         let batch_ids = batched.annotate_rows_batch(items.iter().map(row_annotation).collect());
         prop_assert_eq!(batch_ids.len(), items.len());
@@ -308,15 +314,15 @@ proptest! {
                 (b, s) => panic!("item {i}: batch {b:?} vs serial {s:?}"),
             }
         }
-        prop_assert_eq!(all_objects(&batched), all_objects(&serial));
+        prop_assert_eq!(all_objects(&batched.shard(0).read()), all_objects(&serial));
         prop_assert_eq!(
-            snapshot_bytes(&batched),
+            shard_snapshot_bytes(&batched),
             snapshot_bytes(&serial),
             "snapshot bytes diverged"
         );
-        clock_probe(&mut batched, &mut serial);
+        clock_probe(&batched, &mut serial);
         prop_assert_eq!(
-            snapshot_bytes(&batched),
+            shard_snapshot_bytes(&batched),
             snapshot_bytes(&serial),
             "logical clocks diverged"
         );
@@ -326,7 +332,15 @@ proptest! {
 // -- sharded path ---------------------------------------------------------
 
 fn fresh_sharded(shards: usize) -> ShardedDatabase {
-    let db = ShardedDatabase::create(DbConfig::default(), shards).unwrap();
+    fresh_sharded_in(shards, MaintenanceMode::Incremental)
+}
+
+fn fresh_sharded_in(shards: usize, mode: MaintenanceMode) -> ShardedDatabase {
+    let config = DbConfig {
+        maintenance: mode,
+        ..DbConfig::default()
+    };
+    let db = ShardedDatabase::create(config, shards).unwrap();
     db.execute_sql(SETUP_SQL).unwrap();
     db
 }
@@ -429,9 +443,8 @@ proptest! {
                 .unwrap();
 
             if shards == 1 {
-                let g = sharded.shard(0).read();
                 prop_assert_eq!(
-                    snapshot(g.catalog(), g.store(), g.registry()),
+                    shard_snapshot_bytes(&sharded),
                     snapshot_bytes(&serial),
                     "single-shard snapshot bytes diverged from serial"
                 );
@@ -486,7 +499,7 @@ proptest! {
 /// out dense and in statement order.
 #[test]
 fn mixed_failure_batch_keeps_ids_dense_and_ordered() {
-    let mut db = fresh_db(MaintenanceMode::Incremental);
+    let db = fresh_sharded(1);
     let stmts = [
         "ADD ANNOTATION 'x' ON missing",
         "ADD ANNOTATION 'wingspan plumage measured' ON t WHERE p = 1",
@@ -496,9 +509,9 @@ fn mixed_failure_batch_keeps_ids_dense_and_ordered() {
         "ADD ANNOTATION 'diving foraging flocking' ON t WHERE p = 1",
     ]
     .iter()
-    .map(|s| parse_one(s).unwrap())
+    .map(|s| SqlStatement::parse(*s).unwrap())
     .collect();
-    let results = db.annotate_batch(stmts);
+    let results = db.annotate_batch_sql(stmts);
     let ids: Vec<Option<u64>> = results
         .iter()
         .map(|r| match r {

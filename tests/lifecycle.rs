@@ -8,7 +8,7 @@
 //!   from scratch (Rebuild mode), at one shard and at four;
 //! * **durability** — tombstones, flags, and successor links replay
 //!   from the WAL after a crash, byte-identical to the pre-crash state;
-//! * **replication** — a replica applying the primary's `Script` frames
+//! * **replication** — a replica applying the primary's log records
 //!   reproduces the tombstone state and hides retracted annotations
 //!   from live reads;
 //! * **time travel** — `SELECT ... AS OF <tick>` reproduces the summary
@@ -23,7 +23,7 @@
 
 use insightnotes::common::{AnnotationId, RowId};
 use insightnotes::engine::persist::snapshot;
-use insightnotes::engine::wal::{SyncPolicy, WalRecord};
+use insightnotes::engine::wal::{SyncPolicy, Wal, WalRecord};
 use insightnotes::engine::{Database, DbConfig, ExecOutcome, LifecycleKind, ShardedDatabase};
 use insightnotes::summaries::MaintenanceMode;
 use proptest::prelude::*;
@@ -252,23 +252,28 @@ fn recovery_replays_lifecycle_tombstones_byte_identically() {
 // -- replica apply ---------------------------------------------------------
 
 /// The replication path in miniature: a WAL-less replica applying the
-/// primary's `Script` frames lands on byte-identical state, tombstones
-/// included, and hides retracted annotations from live reads.
+/// records of the primary's own log — a `Script` for the schema, typed
+/// `Stamped` events for every annotation statement — lands on
+/// byte-identical state, tombstones included, and hides retracted
+/// annotations from live reads.
 #[test]
 fn replica_apply_reproduces_tombstones_and_hides_retracted() {
-    let mut primary = Database::new();
-    let mut replica = Database::new();
+    let dir = scratch("replica-apply");
+    let mut primary = Database::with_config(wal_config(&dir, SyncPolicy::Batch)).unwrap();
     primary.execute_sql(SCHEMA).unwrap();
-    replica
-        .apply_wal_record(&WalRecord::Script { sql: SCHEMA.into() })
-        .unwrap();
     for sql in LIFECYCLE_STATEMENTS {
         primary.execute_sql(sql).unwrap();
-        replica
-            .apply_wal_record(&WalRecord::Script {
-                sql: (*sql).to_string(),
-            })
-            .unwrap();
+    }
+    primary.wal_sync().unwrap();
+    let records = Wal::open(&dir, SyncPolicy::Batch).unwrap().unwrap().records;
+    assert!(matches!(records[0], WalRecord::Script { .. }));
+    assert_eq!(records.len(), 1 + LIFECYCLE_STATEMENTS.len());
+    assert!(records[1..]
+        .iter()
+        .all(|r| matches!(r, WalRecord::Stamped { events } if events.len() == 1)));
+    let mut replica = Database::new();
+    for record in records {
+        replica.apply_wal_record(record).unwrap();
     }
     assert_eq!(
         state_bytes(&replica),
@@ -583,4 +588,57 @@ fn recovery_sweep_converges_partial_lifecycle_and_partial_commits() {
     let (_, report2) =
         ShardedDatabase::recover(None, wal_config(&dir, SyncPolicy::Batch), SHARDS).unwrap();
     assert_eq!(report2.reconciled, 0, "converged state re-repaired");
+}
+
+// -- event stamps come only from the engine --------------------------------
+
+/// A client cannot supply an event's stamp. The `AT <tick>` and
+/// `WITH ID … AT …` suffixes the router once used internally are parse
+/// errors, so a statement can neither back-date a lifecycle event nor
+/// claim an id that a later `ADD` will be given.
+#[test]
+fn forged_event_stamps_are_parse_errors() {
+    for shards in [1usize, 4] {
+        let db = ShardedDatabase::create(DbConfig::default(), shards).unwrap();
+        db.execute_sql(SCHEMA).unwrap();
+        let add = |p: u64| match &db
+            .execute_sql(&format!(
+                "ADD ANNOTATION 'note {p}' AUTHOR 'ada' ON t WHERE p = {p}"
+            ))
+            .unwrap()[..]
+        {
+            [ExecOutcome::Annotated { annotation, .. }] => annotation.raw(),
+            other => panic!("unexpected outcome {other:?}"),
+        };
+        assert_eq!((1..=3).map(add).collect::<Vec<_>>(), [1, 2, 3]);
+        for forged in [
+            "RETRACT ANNOTATION 3 AT 1",
+            "FLAG ANNOTATION 3 'x' AT 1",
+            "CORRECT ANNOTATION 1 'x' WITH ID 5 AT 2",
+        ] {
+            let err = db.execute_sql(forged).unwrap_err();
+            assert_eq!(err.class(), "parse", "{forged} at {shards} shard(s): {err}");
+        }
+        assert_eq!((4..=6).map(add).collect::<Vec<_>>(), [4, 5, 6]);
+        // Every annotation targets one row, so each id is live on
+        // exactly its owner shard.
+        for id in 1..=6 {
+            let live = (0..shards)
+                .filter(|&k| {
+                    db.shard(k)
+                        .read()
+                        .store()
+                        .get(AnnotationId::new(id))
+                        .is_ok()
+                })
+                .count();
+            assert_eq!(live, 1, "a{id} live on {live} shards at {shards} shard(s)");
+        }
+        let outcomes = db.execute_sql("HISTORY 3").unwrap();
+        let [ExecOutcome::History { events, .. }] = &outcomes[..] else {
+            panic!("unexpected outcome {outcomes:?}")
+        };
+        let kinds: Vec<LifecycleKind> = events.iter().map(|e| e.kind).collect();
+        assert_eq!(kinds, [LifecycleKind::Created], "at {shards} shard(s)");
+    }
 }

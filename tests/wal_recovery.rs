@@ -20,7 +20,7 @@
 use insightnotes::common::RowId;
 use insightnotes::engine::persist::snapshot;
 use insightnotes::engine::shard::{shard_snapshot_path, snapshot_manifest_path, MANIFEST_FILE};
-use insightnotes::engine::wal::{SyncPolicy, Wal};
+use insightnotes::engine::wal::{SyncPolicy, Wal, WalRecord};
 use insightnotes::engine::{Database, DbConfig, ShardedDatabase};
 use insightnotes::sql::parse_one;
 use proptest::prelude::*;
@@ -144,24 +144,33 @@ fn recovery_replays_the_wal_tail_on_top_of_a_checkpoint() {
 #[test]
 fn typed_and_batch_entry_points_replay_identically() {
     use insightnotes::annotations::{AnnotationBody, ColSig};
-    use insightnotes::common::RowId;
-    use insightnotes::engine::{RowAnnotation, SqlStatement};
+    use insightnotes::common::{AnnotationId, RowId};
+    use insightnotes::engine::wal::{AnnotationEvent, TargetGroup};
 
+    let add = |id: u64, table: &str, row: u64, text: &str| AnnotationEvent::Add {
+        id,
+        tick: id,
+        targets: vec![TargetGroup {
+            table: table.into(),
+            rows: vec![row],
+            cols: ColSig::whole_row(2).bits(),
+        }],
+        text: text.into(),
+        document: Some("field notes".into()),
+        author: "ada".into(),
+    };
     let dir = scratch("typed-replay");
     let pre_crash;
     {
         let mut db = Database::with_config(wal_config(&dir, SyncPolicy::Batch)).unwrap();
         db.execute_sql(SCHEMA).unwrap();
-        // SQL batch (the server's group-commit path).
-        let stmts: Vec<SqlStatement> = [
-            STATEMENTS[0],
-            "ADD ANNOTATION 'bogus' ON missing WHERE p = 1", // per-item failure
-            STATEMENTS[1],
-        ]
-        .iter()
-        .map(|s| SqlStatement::parse(*s).unwrap())
-        .collect();
-        let results = db.annotate_batch_sql(stmts);
+        // A stamped batch (the committer's group-commit unit) with a
+        // per-item failure that must re-fail on replay.
+        let results = db.annotate_stamped(vec![
+            add(1, "t", 1, "eating stonewort near shore"),
+            add(2, "missing", 1, "bogus"),
+            add(3, "t", 2, "lesions parasites infection"),
+        ]);
         assert_eq!(
             results
                 .iter()
@@ -169,7 +178,7 @@ fn typed_and_batch_entry_points_replay_identically() {
                 .collect::<Vec<_>>(),
             [true, false, true]
         );
-        // Typed single + typed batch.
+        // Typed single, multi-target, and every lifecycle event.
         db.annotate_rows(
             "t",
             &[RowId::new(1), RowId::new(3)],
@@ -177,21 +186,26 @@ fn typed_and_batch_entry_points_replay_identically() {
             AnnotationBody::text("diving and foraging", "ada"),
         )
         .unwrap();
-        let ids = db.annotate_rows_batch(vec![
-            RowAnnotation {
-                table: "t".into(),
-                rows: vec![RowId::new(2)],
-                cols: ColSig::whole_row(2),
-                body: AnnotationBody::text("lesions parasites", "brahe"),
-            },
-            RowAnnotation {
-                table: "missing".into(), // per-item failure must re-fail on replay
-                rows: vec![RowId::new(1)],
-                cols: ColSig::whole_row(2),
-                body: AnnotationBody::text("x", "y"),
-            },
-        ]);
-        assert!(ids[0].is_ok() && ids[1].is_err());
+        let t = db.catalog().table_id("t").unwrap();
+        db.annotate_targets(
+            vec![
+                (t, RowId::new(2), ColSig::whole_row(2)),
+                (t, RowId::new(3), ColSig::whole_row(2)),
+            ],
+            AnnotationBody::text("lesions parasites", "brahe"),
+        )
+        .unwrap();
+        db.flag_annotation(AnnotationId::new(1), Some("dubious".into()))
+            .unwrap();
+        db.correct_annotation(
+            AnnotationId::new(3),
+            "parasites confirmed".into(),
+            None,
+            None,
+        )
+        .unwrap();
+        db.retract_annotation(AnnotationId::new(4)).unwrap();
+        db.delete_annotation(AnnotationId::new(5)).unwrap();
         db.wal_sync().unwrap();
         pre_crash = (state_bytes(&db), db.clock_now());
     }
@@ -902,8 +916,15 @@ fn unlogged_write_entry_points_are_rejected_when_wal_is_on() {
     // write through it could never be logged — it must refuse.
     let stmt = parse_one(STATEMENTS[0]).unwrap();
     assert!(db.execute(stmt).is_err(), "unlogged execute accepted");
-    let results = db.annotate_batch(vec![parse_one(STATEMENTS[0]).unwrap()]);
-    assert!(results[0].is_err(), "unlogged annotate_batch accepted");
+    // Replica apply writes nothing to this database's own log, so a
+    // database with a log attached refuses it.
+    let record = WalRecord::Script {
+        sql: "INSERT INTO t VALUES (9, 'nine')".into(),
+    };
+    assert!(
+        db.apply_wal_record(record).is_err(),
+        "unlogged apply accepted"
+    );
     // Reads are unaffected.
     assert!(db.execute(parse_one("SELECT p FROM t").unwrap()).is_ok());
 }

@@ -1,7 +1,7 @@
 //! Zoom-in query processing end-to-end (paper §2.2 / Figure 3) and the
 //! disk result cache behind it.
 
-use insightnotes::engine::{Database, DbConfig, ExecOutcome};
+use insightnotes::engine::{Database, DbConfig, ExecOutcome, ShardedDatabase};
 use insightnotes::storage::Value;
 
 /// Figure 3's setup: tuples with refuting/approving annotations and an
@@ -301,4 +301,59 @@ fn zoomed_result_row_values_match_query_output() {
     };
     // The whole-row refute annotation still covers c3.
     assert_eq!(z.annotations.len(), 1);
+}
+
+/// A read inside a replicated write script runs through the router like
+/// a read sent alone: it sees every shard's summaries, and its QID comes
+/// from the router's registry, so `ZOOMIN` answers for it.
+#[test]
+fn reads_inside_a_write_script_are_routed_and_zoomable() {
+    for shards in [1usize, 4] {
+        let db = ShardedDatabase::create(DbConfig::default(), shards).unwrap();
+        db.execute_sql(
+            "CREATE TABLE t (c1 TEXT, c3 INT);
+             INSERT INTO t VALUES ('a', 1), ('b', 2), ('c', 3), ('d', 4),
+                                  ('e', 5), ('f', 6), ('g', 7), ('h', 8);
+             CREATE SUMMARY INSTANCE C TYPE CLASSIFIER
+               LABELS ('refute', 'approve')
+               TRAIN ('refute': 'wrong invalid verification needs',
+                      'approve': 'confirmed correct verified valid');
+             LINK SUMMARY C TO t",
+        )
+        .unwrap();
+        for v in 1..=8 {
+            db.execute_sql(&format!(
+                "ADD ANNOTATION 'Value {v} is wrong' ON t WHERE c3 = {v}"
+            ))
+            .unwrap();
+        }
+        let select = "SELECT c1, c3 FROM t WHERE c3 <= 8";
+        let outcomes = db
+            .execute_sql(&format!("INSERT INTO t VALUES ('i', 9); {select}"))
+            .unwrap();
+        let [ExecOutcome::Inserted { rows: 1, .. }, ExecOutcome::Query(in_script)] = &outcomes[..]
+        else {
+            panic!("unexpected outcomes {outcomes:?}")
+        };
+        let alone = db.query(select).unwrap();
+        assert_ne!(
+            in_script.qid, alone.qid,
+            "QIDs collide at {shards} shard(s)"
+        );
+        assert_eq!(
+            format!("{:?}", in_script.rows),
+            format!("{:?}", alone.rows),
+            "in-script read diverged at {shards} shard(s)"
+        );
+        for qid in [in_script.qid, alone.qid] {
+            let outcomes = db
+                .execute_sql(&format!("ZOOMIN REFERENCE QID {} ON C INDEX 1", qid.raw()))
+                .unwrap();
+            let [ExecOutcome::ZoomIn(z)] = &outcomes[..] else {
+                panic!("unexpected outcomes {outcomes:?}")
+            };
+            assert_eq!(z.matched_rows, 8, "QID {qid} at {shards} shard(s)");
+            assert_eq!(z.annotations.len(), 8, "QID {qid} at {shards} shard(s)");
+        }
+    }
 }
